@@ -231,6 +231,15 @@ def _campaign(
 
     knowledge = DesignKnowledgeBase()
     examples = build_icl_examples(corpus, knowledge)
+    available = len(examples.examples)
+    for k in k_values:
+        if k > available:
+            print(
+                f"error: --k {k} needs {k} in-context examples but corpus "
+                f"{corpus_name!r} has {available}",
+                file=sys.stderr,
+            )
+            return 2
     generators = [SimulatedCotsLLM(profile, knowledge) for profile in profiles]
     designs = corpus.test_designs(limit=num_designs)
 

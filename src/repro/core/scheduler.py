@@ -24,7 +24,6 @@ from __future__ import annotations
 import dataclasses
 import os
 import threading
-import zlib
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple, Union
@@ -33,6 +32,7 @@ from ..fpv.engine import (
     EngineConfig,
     FormalEngine,
     ReachabilityCache,
+    design_fingerprint,
     reachability_key,
 )
 from ..fpv.transition import ReachabilityResult
@@ -129,12 +129,14 @@ class VerdictCache:
 # -- worker-side entry point ---------------------------------------------------
 
 def _design_key(design: Design) -> str:
-    """Identify a design by name *and* source fingerprint.
+    """Identify a design by name *and* source content hash.
 
     Keying on the name alone would hand back verdicts (or worker-side
-    engines) from a different design that happens to share it.
+    engines) from a different design that happens to share it; the hash is
+    the same :func:`~repro.fpv.engine.design_fingerprint` the reachability
+    and mutation records are keyed by.
     """
-    return f"{design.name}:{zlib.crc32(design.source.encode()):08x}"
+    return f"{design.name}:{design_fingerprint(design.source)}"
 
 
 #: Engines are cached per worker process so repeated batches against the same

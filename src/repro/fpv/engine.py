@@ -901,11 +901,7 @@ class FormalEngine:
 
     def _term_fn(self, expr):
         """Lower a proposition to a truth kernel for the sweep's inner loop."""
-        evaluator = self._evaluator
-        compile_expr = getattr(evaluator, "compile", None)
-        if compile_expr is not None:
-            return compile_expr(expr)
-        return lambda env, _expr=expr: evaluator.eval(_expr, env)
+        return self._evaluator.compile(expr)
 
     # -- simulation falsification -------------------------------------------------------
 

@@ -14,6 +14,7 @@ from typing import List, Optional
 
 from ..fpv.engine import EngineConfig, FormalEngine
 from ..fpv.result import ProofResult, ProofStatus
+from ..fpv.trace_check import TraceChecker
 from ..hdl.design import Design
 from ..sim.simulator import Simulator
 from ..sim.stimulus import default_stimulus
@@ -77,8 +78,11 @@ class AssertionMiner:
             stimulus = default_stimulus(self._design.model, seed=config.seed)
             trace = simulator.run(cycles=config.trace_cycles, stimulus=stimulus)
 
+        # HARM and the ranker check candidates on the same trace through one
+        # checker, so ranking reuses the term columns support counting built.
+        checker = TraceChecker(self._design.model)
         goldmine = GoldMineMiner(self._design, config.goldmine).mine(trace)
-        harm = HarmMiner(self._design, config.harm).mine(trace)
+        harm = HarmMiner(self._design, config.harm, checker=checker).mine(trace)
         candidates = deduplicate(goldmine + harm)
 
         report = MiningReport(
@@ -87,16 +91,15 @@ class AssertionMiner:
             candidates=candidates,
         )
 
-        ranker = AssertionRanker(self._design)
+        ranker = AssertionRanker(self._design, checker=checker)
         to_verify = candidates
         if config.verify and len(candidates) > config.max_verify_candidates:
             to_verify = ranker.top(candidates, trace, config.max_verify_candidates)
 
         if config.verify:
             engine = FormalEngine(self._design, config.engine)
-            for assertion in to_verify:
-                result = engine.check(assertion)
-                report.proof_results.append(result)
+            report.proof_results = engine.check_batch(to_verify)
+            for assertion, result in zip(to_verify, report.proof_results):
                 if result.status is ProofStatus.PROVEN:
                     report.verified.append(assertion)
                 elif result.status is ProofStatus.VACUOUS and config.keep_vacuous:

@@ -243,7 +243,7 @@ class CompiledEvaluator:
             "%": lambda env: (
                 (left(env) % r) & mask if (r := right(env)) else left(env) & mask
             ),
-            "**": lambda env: (left(env) ** right(env)) & mask,
+            "**": lambda env: pow(left(env), right(env), mask + 1),
             "&": lambda env: left(env) & right(env),
             "|": lambda env: left(env) | right(env),
             "^": lambda env: left(env) ^ right(env),

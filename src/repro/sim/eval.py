@@ -8,7 +8,7 @@ engine (:mod:`repro.fpv`), which both interpret the same process bodies.
 
 from __future__ import annotations
 
-from typing import Dict, Optional
+from typing import Callable, Dict, Optional
 
 from ..hdl import ast
 from ..hdl.elaborate import RtlModel, _ConstEvaluator
@@ -90,6 +90,11 @@ class ExprEvaluator:
     _const_value = const_value
 
     # -- evaluation -----------------------------------------------------------
+
+    def compile(self, expr: ast.Expr) -> Callable[[Dict[str, int]], int]:
+        """A kernel for ``expr`` in the compiled backend's calling convention;
+        the interpreter still walks the tree on every call."""
+        return lambda env: self.eval(expr, env)
 
     def eval(self, expr: ast.Expr, env: Dict[str, int]) -> int:
         """Evaluate ``expr`` in the signal environment ``env``."""
@@ -181,7 +186,9 @@ class ExprEvaluator:
             # deterministic masked value so both backends agree bit-for-bit.
             return _mask(left % right, width) if right else _mask(left, width)
         if op == "**":
-            return _mask(left**right, width)
+            # Modular exponentiation: bit-identical to masking ``left**right``
+            # but bounded, where the plain power of a wide exponent is not.
+            return pow(left, right, 1 << width)
         if op == "&":
             return left & right
         if op == "|":

@@ -139,7 +139,7 @@ def _mul(a: np.ndarray, b: np.ndarray, out_bits: int) -> np.ndarray:
     """
     da = _digits(a)
     db = _digits(b)
-    nd = (out_bits + 15) // 16
+    nd = max(1, (out_bits + 15) // 16)  # a zero-width product is one 0 digit
     digits = []
     carry: Union[np.ndarray, np.int64] = np.int64(0)
     for p in range(nd):
@@ -611,7 +611,7 @@ class LimbExprCompiler(VectorExprCompiler):
         # Scalar semantics: pow(left, right, 1 << width); masking the base
         # first is sound because multiplication distributes over mod 2**w.
         out_k = limbs_for(width)
-        one = const_limbs(1, out_k)
+        one = _mask_limbs(const_limbs(1, out_k), width)  # x ** 0 is 0 at width 0
         if not (expr.right.signals() & self._signal_names):
             exponent = self._interp.eval(expr.right, {})
 

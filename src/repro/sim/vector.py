@@ -226,8 +226,12 @@ class VectorExprCompiler:
             count = self._interp.const_value(expr.count)
             width = self.width_of(expr.value)
             chunk = self.compile(expr.value)
+            if not count or not width:
+                # Zero copies are 0 in every lane, however wide the operand
+                # (a mask past 63 bits would not fit the int64 lanes).
+                return lambda cols: chunk(cols) & 0
             mask = (1 << width) - 1
-            factor = ((1 << (width * count)) - 1) // mask if count and mask else 0
+            factor = ((1 << (width * count)) - 1) // mask
             return lambda cols: (chunk(cols) & mask) * factor
         raise UnsupportedForVectorization(f"cannot vector-lower {expr!r}")
 

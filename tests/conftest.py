@@ -6,10 +6,20 @@ the whole suite builds them once.
 
 from __future__ import annotations
 
+import os
+
 import pytest
+from hypothesis import settings
 
 from repro.bench import AssertionBenchCorpus, DesignKnowledgeBase, build_icl_examples
 from repro.hdl import Design
+
+# With ``CI`` set, every hypothesis test draws the same examples on every run,
+# so a CI failure reproduces locally with ``CI=1``.  Example counts stay as
+# each test sets them.
+settings.register_profile("ci", derandomize=True)
+if os.environ.get("CI"):
+    settings.load_profile("ci")
 
 ARB2_SOURCE = """
 module arb2(clk, rst, req1, req2, gnt1, gnt2);

@@ -2,11 +2,15 @@
 
 from __future__ import annotations
 
+import zlib
+
 import pytest
 
 from repro.core import SchedulerConfig, VerdictCache, VerificationService
+from repro.core.scheduler import _design_key
 from repro.fpv import EngineConfig, FormalEngine, ProofStatus
 from repro.fpv.result import ProofResult
+from repro.hdl import Design
 
 _FAST_ENGINE = EngineConfig(
     max_states=1024,
@@ -17,6 +21,20 @@ _FAST_ENGINE = EngineConfig(
     fallback_cycles=96,
     fallback_seeds=1,
 )
+
+
+_TWIN_SOURCE = """
+module twin(clk, rst, q);
+  input clk, rst;
+  output reg q;
+  always @(posedge clk or posedge rst)
+    if (rst)
+      q <= 0;
+    else
+      q <= {next};
+endmodule
+// {salt}
+"""
 
 
 def _proven() -> ProofResult:
@@ -121,3 +139,18 @@ class TestVerificationService:
         service.check_many(small_jobs)
         service.close()
         service.close()
+
+    def test_same_named_designs_keep_their_own_verdicts(self):
+        # The salts make the two sources collide under crc32, the 32-bit
+        # checksum design keys used to carry.
+        stuck_source = _TWIN_SOURCE.format(next="q", salt="MWftNJKP")
+        toggling_source = _TWIN_SOURCE.format(next="~q", salt="Ytd9TjJp")
+        assert zlib.crc32(stuck_source.encode()) == zlib.crc32(toggling_source.encode())
+        stuck = Design.from_source(stuck_source, name="twin")
+        toggling = Design.from_source(toggling_source, name="twin")
+        assert _design_key(stuck) != _design_key(toggling)
+        service = VerificationService(SchedulerConfig(engine=_FAST_ENGINE, workers=1))
+        for _ in range(2):
+            batches = service.check_many([(stuck, ["(q == 0);"]), (toggling, ["(q == 0);"])])
+            assert [batch[0].status for batch in batches] == [ProofStatus.PROVEN, ProofStatus.CEX]
+        assert service.check(toggling, "(q == 0);").status is ProofStatus.CEX

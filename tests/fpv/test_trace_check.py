@@ -1,10 +1,14 @@
 """Unit tests for assertion checking over simulation traces."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.fpv import TraceChecker, check_on_trace
-from repro.sim import Simulator, Trace
+from repro.hdl import Design, ast
+from repro.sim import EvalError, Simulator, Trace
 from repro.sva import parse_assertion
+from repro.sva.model import NON_OVERLAPPED, OVERLAPPED, Assertion, SequenceTerm
 
 
 @pytest.fixture(scope="module")
@@ -67,3 +71,168 @@ class TestTraceChecker:
         assert checker.holds_on(
             parse_assertion("(req1 == 0 && req2 == 0) |-> (gnt1 == 0);"), arb2_trace
         )
+
+
+# -- columnar checking against the scalar oracle ------------------------------------
+
+_WIDE_SOURCE = """\
+module tcwide(clk, a, b, s, c, y);
+  input clk;
+  input [95:0] a;
+  input [70:0] b;
+  input [3:0] s;
+  input c;
+  output [95:0] y;
+  assign y = a ^ b;
+endmodule
+"""
+
+_WIDTHS = {"clk": 1, "a": 96, "b": 71, "s": 4, "c": 1, "y": 96}
+
+
+def _boundaries(width):
+    mask = (1 << width) - 1
+    return sorted({0, 1, mask, 1 << (width - 1), ((1 << 64) + 3) & mask})
+
+
+def _signal_values(width):
+    return st.one_of(st.sampled_from(_boundaries(width)), st.integers(0, (1 << width) - 1))
+
+
+_rows = st.lists(
+    st.fixed_dictionaries({name: _signal_values(width) for name, width in _WIDTHS.items()}),
+    max_size=24,
+)
+
+_wide = st.sampled_from([ast.Identifier(name) for name in ("a", "b", "y")])
+_terms = st.one_of(
+    st.tuples(st.sampled_from(["==", "!=", "<", ">="]), _wide, _wide).map(
+        lambda t: ast.Binary(t[0], t[1], t[2])
+    ),
+    st.tuples(_wide, st.sampled_from(_boundaries(71))).map(
+        lambda t: ast.Binary("==", t[0], ast.Number(t[1]))
+    ),
+    st.integers(0, 95).map(lambda bit: ast.BitSelect(ast.Identifier("a"), ast.Number(bit))),
+    st.integers(0, 15).map(lambda v: ast.Binary("<", ast.Identifier("s"), ast.Number(v))),
+    st.just(ast.Identifier("c")),
+    st.just(
+        ast.Binary(">", ast.Binary("+", ast.Identifier("a"), ast.Identifier("b")), ast.Identifier("y"))
+    ),
+)
+_sequences = st.lists(
+    st.builds(SequenceTerm, st.integers(0, 3), _terms), min_size=1, max_size=3
+)
+_assertions = st.builds(
+    Assertion,
+    antecedent=_sequences,
+    consequent=_sequences,
+    implication=st.sampled_from([OVERLAPPED, NON_OVERLAPPED]),
+    disable_iff=st.none() | _terms,
+)
+
+
+@pytest.fixture(scope="module")
+def wide_model():
+    return Design.from_source(_WIDE_SOURCE).model
+
+
+def _trace(model, rows):
+    trace = Trace(signals=list(model.signals))
+    for row in rows:
+        trace.append(row)
+    return trace
+
+
+def _outcome(check, assertion, trace):
+    try:
+        return check(assertion, trace)
+    except EvalError as exc:
+        return ("EvalError", str(exc))
+
+
+class TestColumnarMatchesScalar:
+    @pytest.mark.parametrize("backend", ["interpreted", "compiled"])
+    @settings(max_examples=150, deadline=None)
+    @given(assertion=_assertions, rows=_rows)
+    def test_random_assertions_and_wide_traces(self, wide_model, backend, assertion, rows):
+        trace = _trace(wide_model, rows)
+        checker = TraceChecker(wide_model, backend=backend)
+        expected = checker.check_scalar(assertion, trace)
+        # The columnar path itself, not the oracle fallback, must agree.
+        assert checker._check_columns(assertion, trace) == expected
+        assert checker.check(assertion, trace) == expected
+
+    @settings(max_examples=100, deadline=None)
+    @given(assertion=_assertions, rows=_rows, split=st.integers(0, 24))
+    def test_appending_cycles_invalidates_columns(self, wide_model, assertion, rows, split):
+        split %= len(rows) + 1
+        trace = _trace(wide_model, rows[:split])
+        checker = TraceChecker(wide_model)
+        assert checker.check(assertion, trace) == checker.check_scalar(assertion, trace)
+        for row in rows[split:]:
+            trace.append(row)
+        assert checker.check(assertion, trace) == checker.check_scalar(assertion, trace)
+
+    def test_appended_cycles_are_checked(self, wide_model):
+        assertion = Assertion(
+            antecedent=[SequenceTerm(0, ast.Identifier("c"))],
+            consequent=[SequenceTerm(0, ast.Binary("<", ast.Identifier("s"), ast.Number(8)))],
+        )
+        base = {name: 0 for name in _WIDTHS}
+        trace = _trace(wide_model, [{**base, "c": 1}] * 2)
+        checker = TraceChecker(wide_model)
+        assert checker.check(assertion, trace).triggers == 2
+        trace.append({**base, "c": 1, "s": 9})
+        result = checker.check(assertion, trace)
+        assert (result.triggers, result.violation_cycles) == (3, [2])
+
+    def test_traces_of_equal_length_keep_their_own_columns(self, wide_model):
+        assertion = Assertion(
+            antecedent=[SequenceTerm(0, ast.Identifier("c"))],
+            consequent=[SequenceTerm(1, ast.Binary("<", ast.Identifier("s"), ast.Number(8)))],
+        )
+        checker = TraceChecker(wide_model)
+        base = {name: 0 for name in _WIDTHS}
+        traces = [
+            _trace(wide_model, [{**base, "c": 1, "s": s} for s in values])
+            for values in ([0, 9, 1, 9], [9, 0, 9, 0])
+        ]
+        for trace in traces * 2:
+            assert checker.check(assertion, trace) == checker.check_scalar(assertion, trace)
+        assert checker.check(assertion, traces[0]).violation_cycles == [0, 2]
+        assert checker.check(assertion, traces[1]).violation_cycles == [1]
+
+    def test_column_cache_is_bounded(self, wide_model):
+        assertion = Assertion(
+            antecedent=[SequenceTerm(0, ast.Identifier("c"))],
+            consequent=[SequenceTerm(0, ast.Identifier("c"))],
+        )
+        checker = TraceChecker(wide_model)
+        base = {name: 0 for name in _WIDTHS}
+        for _ in range(checker.column_traces + 3):
+            checker.check(assertion, _trace(wide_model, [base, {**base, "c": 1}]))
+        assert len(checker._columns) == checker.column_traces
+
+    @pytest.mark.parametrize("backend", ["interpreted", "compiled"])
+    @pytest.mark.parametrize("gate", [[0, 0, 0, 0], [0, 1, 0, 0]])
+    @pytest.mark.parametrize("where", ["antecedent", "consequent", "disable_iff"])
+    def test_unknown_signal_raises_like_the_oracle(self, wide_model, backend, gate, where):
+        unknown = ast.Binary("==", ast.Identifier("nosuch"), ast.Number(1))
+        gated = ast.Identifier("c")
+        antecedent = [SequenceTerm(0, gated)]
+        consequent = [SequenceTerm(0, ast.Number(1))]
+        disable_iff = None
+        if where == "antecedent":
+            antecedent.append(SequenceTerm(1, unknown))
+        elif where == "consequent":
+            consequent.append(SequenceTerm(0, unknown))
+        else:
+            disable_iff = unknown
+        assertion = Assertion(antecedent, consequent, disable_iff=disable_iff)
+        base = {name: 0 for name in _WIDTHS}
+        trace = _trace(wide_model, [{**base, "c": value} for value in gate])
+        checker = TraceChecker(wide_model, backend=backend)
+        expected = _outcome(checker.check_scalar, assertion, trace)
+        assert _outcome(checker.check, assertion, trace) == expected
+        # The oracle only reaches the unknown term when ``c`` ever holds.
+        assert isinstance(expected, tuple) == any(gate[:-1])

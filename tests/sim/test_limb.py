@@ -10,6 +10,8 @@ vector lowering accepts.
 
 from __future__ import annotations
 
+import time
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -19,6 +21,7 @@ from repro.bench.corpus import get_corpus
 from repro.hdl import Design, ast
 from repro.mutate.operators import enumerate_mutants
 from repro.sim import EvalError, ExprEvaluator, RandomStimulus, Simulator
+from repro.sim.compile import CompiledEvaluator
 from repro.sim.limb import (
     LimbExprCompiler,
     MultiLimbKernel,
@@ -228,6 +231,35 @@ class TestLimbExpressionLanes:
             assert _lanes(vec(cols), len(envs)) == [
                 interp.eval(expr, dict(env)) for env in envs
             ], op
+
+    def test_huge_exponent_is_bounded(self, wide_design, limb_compiler):
+        # ``**`` is modular in the reference backends too: a 100-bit exponent
+        # must not build the unbounded power before masking.
+        expr = ast.Binary("**", ast.Identifier("w65"), ast.Identifier("wd"))
+        exponent = (1 << 100) - 1
+        envs = [
+            {**{k: 0 for k in _SIGNAL_WIDTHS}, "w65": base, "wd": exponent}
+            for base in [0, 1, 3, (1 << 64) + 5, (1 << 65) - 1]
+        ]
+        expected = [pow(env["w65"], exponent, 1 << 100) for env in envs]
+        started = time.perf_counter()
+        for evaluator in (ExprEvaluator(wide_design.model), CompiledEvaluator(wide_design.model)):
+            assert [evaluator.eval(expr, dict(env)) for env in envs] == expected
+        assert time.perf_counter() - started < 5.0
+        cols = _limb_cols(envs, wide_design.model)
+        assert _lanes(limb_compiler.compile(expr)(cols), len(envs)) == expected
+
+    def test_zero_width_product_and_power(self, wide_design, limb_compiler):
+        # Zero copies make a zero-width operand; its product and power are
+        # 0, like the interpreter's ``pow(x, y, 1)``.
+        empty = ast.Replicate(ast.Number(0), ast.Identifier("w63"))
+        env = {k: 1 for k in _SIGNAL_WIDTHS}
+        interp = ExprEvaluator(wide_design.model)
+        cols = _limb_cols([env], wide_design.model)
+        for op in ("*", "**"):
+            expr = ast.Binary(op, empty, empty)
+            lanes = _lanes(limb_compiler.compile(expr)(cols), 1)
+            assert lanes == [interp.eval(expr, dict(env))] == [0], op
 
     def test_wide_divisor_object_fallback(self, wide_design, limb_compiler):
         interp = ExprEvaluator(wide_design.model)

@@ -154,6 +154,29 @@ class TestExpressionLanes:
         lanes = np.asarray(vec(cols)).tolist()
         assert lanes == [interp.eval(expr, dict(env)) for env in envs]
 
+    def test_zero_replicate_of_overwide_operand(self, adder_design, adder_kernel):
+        # Zero copies are 0 in every lane, even of a 64-bit operand
+        # (regression: the replicate mask overflowed the int64 lanes).
+        overwide = ast.Ternary(
+            cond=ast.Identifier(name="a"),
+            then=ast.Identifier(name="a"),
+            otherwise=ast.Concat(parts=(ast.Number(value=0), ast.Number(value=0))),
+        )
+        zero = ast.Number(value=0)
+        interp = ExprEvaluator(adder_design.model)
+        envs = [{name: value for name in _SIGNAL_WIDTHS} for value in (0, 1)]
+        cols = {name: np.asarray([0, 1], dtype=np.int64) for name in _SIGNAL_WIDTHS}
+        for expr in (
+            ast.Replicate(count=zero, value=overwide),
+            ast.Ternary(
+                cond=zero,
+                then=ast.Number(value=0, width=1),
+                otherwise=ast.Replicate(count=zero, value=ast.Identifier(name="a")),
+            ),
+        ):
+            lanes = np.asarray(adder_kernel.exprs.compile(expr)(cols)).tolist()
+            assert lanes == [interp.eval(expr, dict(env)) for env in envs] == [0, 0]
+
 
 class TestPacking:
     def test_pack_unpack_round_trip(self):

@@ -50,6 +50,22 @@ class TestRun:
                      "assertionbench-smoke", "--models", "NotAModel"]) == 2
         assert "unknown model" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "corpus, k_args, k, available",
+        [("assertionbench-mutation", [], 5, 2), ("assertionbench-wide", ["--k", "0,1"], 1, 0)],
+    )
+    def test_k_beyond_icl_examples_is_a_clean_error(
+        self, tmp_path, capsys, corpus, k_args, k, available
+    ):
+        run_dir = tmp_path / "run"
+        assert main(["run", "--run-dir", str(run_dir), "--corpus", corpus, *k_args]) == 2
+        err = capsys.readouterr().err.strip().splitlines()
+        assert err == [
+            f"error: --k {k} needs {k} in-context examples but corpus "
+            f"{corpus!r} has {available}"
+        ]
+        assert not run_dir.exists()
+
 
 class TestResume:
     def test_resume_reconstructs_campaign_from_manifest(self, smoke_run, capsys):
