@@ -231,15 +231,16 @@ def _campaign(
 
     knowledge = DesignKnowledgeBase()
     examples = build_icl_examples(corpus, knowledge)
-    available = len(examples.examples)
-    for k in k_values:
-        if k > available:
-            print(
-                f"error: --k {k} needs {k} in-context examples but corpus "
-                f"{corpus_name!r} has {available}",
-                file=sys.stderr,
-            )
-            return 2
+    k_max = max(k_values, default=0)
+    try:
+        examples.for_k(k_max)
+    except ValueError:
+        print(
+            f"error: --k {k_max} needs {k_max} in-context examples but corpus "
+            f"{corpus_name!r} has {len(examples.examples)}",
+            file=sys.stderr,
+        )
+        return 2
     generators = [SimulatedCotsLLM(profile, knowledge) for profile in profiles]
     designs = corpus.test_designs(limit=num_designs)
 

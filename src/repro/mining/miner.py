@@ -14,7 +14,6 @@ from typing import List, Optional
 
 from ..fpv.engine import EngineConfig, FormalEngine
 from ..fpv.result import ProofResult, ProofStatus
-from ..fpv.trace_check import TraceChecker
 from ..hdl.design import Design
 from ..sim.simulator import Simulator
 from ..sim.stimulus import default_stimulus
@@ -78,11 +77,8 @@ class AssertionMiner:
             stimulus = default_stimulus(self._design.model, seed=config.seed)
             trace = simulator.run(cycles=config.trace_cycles, stimulus=stimulus)
 
-        # HARM and the ranker check candidates on the same trace through one
-        # checker, so ranking reuses the term columns support counting built.
-        checker = TraceChecker(self._design.model)
         goldmine = GoldMineMiner(self._design, config.goldmine).mine(trace)
-        harm = HarmMiner(self._design, config.harm, checker=checker).mine(trace)
+        harm = HarmMiner(self._design, config.harm).mine(trace)
         candidates = deduplicate(goldmine + harm)
 
         report = MiningReport(
@@ -91,7 +87,7 @@ class AssertionMiner:
             candidates=candidates,
         )
 
-        ranker = AssertionRanker(self._design, checker=checker)
+        ranker = AssertionRanker(self._design)
         to_verify = candidates
         if config.verify and len(candidates) > config.max_verify_candidates:
             to_verify = ranker.top(candidates, trace, config.max_verify_candidates)
