@@ -20,7 +20,7 @@ together with every substrate they depend on, built from scratch:
 
 from . import analysis, bench, core, fpv, hdl, llm, mining, mutate, sim, sva
 
-__version__ = "1.0.0"
+__version__ = "0.3.0"
 
 __all__ = [
     "analysis",

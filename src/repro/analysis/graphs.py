@@ -9,13 +9,16 @@ GoldMine-style miner's feature selection (:mod:`repro.mining.goldmine`).
 
 from __future__ import annotations
 
-from typing import List, Optional, Set
-
-import networkx as nx
+from typing import Dict, Iterable, List, Optional, Set, Tuple
 
 from ..hdl import ast
 from ..hdl.design import Design
 from ..hdl.elaborate import RtlModel
+
+#: Variable-dependency edges, ``(source, target) -> kind`` with kind ``data``
+#: or ``control``, in first-insertion order.  A later rule for the same pair
+#: overwrites the kind, as re-adding an edge to a ``DiGraph`` does.
+EdgeMap = Dict[Tuple[str, str], str]
 
 
 def _model_of(design_or_model) -> RtlModel:
@@ -29,57 +32,54 @@ def _model_of(design_or_model) -> RtlModel:
 # ---------------------------------------------------------------------------
 
 
-def variable_dependency_graph(design_or_model) -> nx.DiGraph:
-    """Build the VDG: an edge ``a -> b`` means signal ``b`` depends on ``a``.
+def _dependency_edges(model: RtlModel) -> EdgeMap:
+    """Collect the VDG edges: ``(a, b)`` means signal ``b`` depends on ``a``.
 
-    Dependencies are collected from continuous assignments, combinational
-    always blocks, and sequential always blocks (including control
-    dependencies through if/case conditions).
+    Dependencies come from continuous assignments, combinational always
+    blocks, and sequential always blocks (including control dependencies
+    through if/case conditions).
     """
-    model = _model_of(design_or_model)
-    graph = nx.DiGraph()
-    graph.add_nodes_from(model.signals)
-
+    edges: EdgeMap = {}
     for assign in model.assigns:
         for source in assign.supports:
-            graph.add_edge(source, assign.target_name, kind="data")
+            edges[(source, assign.target_name)] = "data"
 
+    known = set(model.signals)
     for process in model.comb_processes + model.seq_processes:
-        _add_statement_dependencies(graph, process.body, control=frozenset(), model=model)
-
-    return graph
+        _add_statement_dependencies(edges, process.body, frozenset(), known)
+    return edges
 
 
 def _add_statement_dependencies(
-    graph: nx.DiGraph,
+    edges: EdgeMap,
     stmt: ast.Stmt,
     control: frozenset,
-    model: RtlModel,
+    known: Set[str],
 ) -> None:
     if isinstance(stmt, ast.Block):
         for inner in stmt.statements:
-            _add_statement_dependencies(graph, inner, control, model)
+            _add_statement_dependencies(edges, inner, control, known)
     elif isinstance(stmt, ast.Assignment):
         targets = _target_names(stmt.target)
-        sources = set(stmt.value.signals()) & set(model.signals)
+        sources = set(stmt.value.signals()) & known
         for target in targets:
             for source in sources:
-                graph.add_edge(source, target, kind="data")
+                edges[(source, target)] = "data"
             for source in control:
-                graph.add_edge(source, target, kind="control")
+                edges[(source, target)] = "control"
     elif isinstance(stmt, ast.If):
-        condition_signals = frozenset(set(stmt.condition.signals()) & set(model.signals))
-        _add_statement_dependencies(graph, stmt.then_body, control | condition_signals, model)
+        condition_signals = frozenset(set(stmt.condition.signals()) & known)
+        _add_statement_dependencies(edges, stmt.then_body, control | condition_signals, known)
         if stmt.else_body is not None:
             _add_statement_dependencies(
-                graph, stmt.else_body, control | condition_signals, model
+                edges, stmt.else_body, control | condition_signals, known
             )
     elif isinstance(stmt, ast.Case):
-        condition_signals = frozenset(set(stmt.subject.signals()) & set(model.signals))
+        condition_signals = frozenset(set(stmt.subject.signals()) & known)
         for item in stmt.items:
-            _add_statement_dependencies(graph, item.body, control | condition_signals, model)
+            _add_statement_dependencies(edges, item.body, control | condition_signals, known)
         if stmt.default is not None:
-            _add_statement_dependencies(graph, stmt.default, control | condition_signals, model)
+            _add_statement_dependencies(edges, stmt.default, control | condition_signals, known)
 
 
 def _target_names(expr: ast.Expr) -> Set[str]:
@@ -95,9 +95,52 @@ def _target_names(expr: ast.Expr) -> Set[str]:
     return set()
 
 
+def variable_dependency_graph(design_or_model):
+    """The VDG as a ``DiGraph``: an edge ``a -> b`` means ``b`` depends on ``a``.
+
+    Every signal is a node and each edge carries its ``kind`` (``data`` or
+    ``control``).  The cone queries below walk the same edges as plain dicts,
+    so only this function, :func:`control_data_flow_graph` and
+    :func:`sequential_depth` import the graph library.
+    """
+    import networkx as nx
+
+    model = _model_of(design_or_model)
+    graph = nx.DiGraph()
+    graph.add_nodes_from(model.signals)
+    graph.add_edges_from(
+        (source, target, {"kind": kind})
+        for (source, target), kind in _dependency_edges(model).items()
+    )
+    return graph
+
+
 # ---------------------------------------------------------------------------
 # Cone of influence
 # ---------------------------------------------------------------------------
+
+
+def _adjacency(edges: Iterable[Tuple[str, str]], forward: bool) -> Dict[str, List[str]]:
+    """Successor lists (``forward``) or predecessor lists of an edge map."""
+    adjacency: Dict[str, List[str]] = {}
+    for source, target in edges:
+        if forward:
+            adjacency.setdefault(source, []).append(target)
+        else:
+            adjacency.setdefault(target, []).append(source)
+    return adjacency
+
+
+def _reach(adjacency: Dict[str, List[str]], start: str) -> Set[str]:
+    """``start`` plus every node reachable from it through ``adjacency``."""
+    seen = {start}
+    stack = [start]
+    while stack:
+        for node in adjacency.get(stack.pop(), ()):
+            if node not in seen:
+                seen.add(node)
+                stack.append(node)
+    return seen
 
 
 def cone_of_influence(design_or_model, target: str) -> Set[str]:
@@ -105,8 +148,7 @@ def cone_of_influence(design_or_model, target: str) -> Set[str]:
     model = _model_of(design_or_model)
     if target not in model.signals:
         raise KeyError(f"unknown signal {target!r}")
-    graph = variable_dependency_graph(model)
-    return set(nx.ancestors(graph, target)) | {target}
+    return _reach(_adjacency(_dependency_edges(model), forward=False), target)
 
 
 def fanout_cone(design_or_model, source: str) -> Set[str]:
@@ -114,8 +156,7 @@ def fanout_cone(design_or_model, source: str) -> Set[str]:
     model = _model_of(design_or_model)
     if source not in model.signals:
         raise KeyError(f"unknown signal {source!r}")
-    graph = variable_dependency_graph(model)
-    return set(nx.descendants(graph, source)) | {source}
+    return _reach(_adjacency(_dependency_edges(model), forward=True), source)
 
 
 # ---------------------------------------------------------------------------
@@ -123,14 +164,16 @@ def fanout_cone(design_or_model, source: str) -> Set[str]:
 # ---------------------------------------------------------------------------
 
 
-def control_data_flow_graph(design_or_model) -> nx.DiGraph:
-    """Build a CDFG with one node per process/assign and per signal.
+def control_data_flow_graph(design_or_model):
+    """Build a CDFG ``DiGraph`` with one node per process/assign and per signal.
 
     Node kinds: ``signal``, ``assign``, ``comb``, ``seq``.  Edges run from
     signals into the processes that read them and from processes to the
     signals they drive, so graph reachability answers both COI and fan-out
     questions at process granularity.
     """
+    import networkx as nx
+
     model = _model_of(design_or_model)
     graph = nx.DiGraph()
     for name in model.signals:
@@ -172,8 +215,9 @@ def control_data_flow_graph(design_or_model) -> nx.DiGraph:
 def influence_ranking(design_or_model) -> List[str]:
     """Rank signals by how many other signals they influence (descending)."""
     model = _model_of(design_or_model)
-    graph = variable_dependency_graph(model)
-    scores = {name: len(nx.descendants(graph, name)) for name in model.signals}
+    successors = _adjacency(_dependency_edges(model), forward=True)
+    # The fan-out cone includes the signal itself; its descendants do not.
+    scores = {name: len(_reach(successors, name)) - 1 for name in model.signals}
     return sorted(model.signals, key=lambda name: (-scores[name], name))
 
 
@@ -206,6 +250,8 @@ def sequential_depth(design_or_model, source: str, target: str) -> Optional[int]
     Returns ``None`` when no path exists.  Used by the miners to decide how
     many ``##`` cycles to put between antecedent and consequent candidates.
     """
+    import networkx as nx
+
     model = _model_of(design_or_model)
     graph = variable_dependency_graph(model)
     if source not in graph or target not in graph:

@@ -1,5 +1,6 @@
 """Unit tests for the static-analysis graphs (VDG, CDFG, COI)."""
 
+import networkx as nx
 import pytest
 
 from repro.analysis import (
@@ -11,6 +12,7 @@ from repro.analysis import (
     sequential_depth,
     variable_dependency_graph,
 )
+from repro.bench.corpus import get_corpus
 
 
 class TestVariableDependencyGraph:
@@ -79,3 +81,39 @@ class TestCdfgAndRanking:
 
     def test_sequential_depth_no_path(self, adder_design):
         assert sequential_depth(adder_design, "sum", "a") is None
+
+
+ORACLE_CORPORA = ("assertionbench-control", "assertionbench-mutation", "assertionbench-wide")
+
+
+def _oracle_designs():
+    seen = {}
+    for name in ORACLE_CORPORA:
+        for design in get_corpus(name).all_designs():
+            seen.setdefault(design.name, design)
+    return list(seen.values())
+
+
+@pytest.mark.parametrize("design", _oracle_designs(), ids=lambda design: design.name)
+def test_cone_queries_match_networkx(design):
+    """The plain edge-map walks agree with networkx on the VDG, signal by signal."""
+    model = design.model
+    graph = variable_dependency_graph(design)
+    for name in model.signals:
+        ancestors = nx.ancestors(graph, name) | {name}
+        assert cone_of_influence(design, name) == ancestors
+        assert fanout_cone(design, name) == nx.descendants(graph, name) | {name}
+        for include_state in (True, False):
+            expected = [
+                other
+                for other, signal in model.signals.items()
+                if other in ancestors
+                and other != name
+                and other not in model.clocks
+                and (signal.kind == "input" or (include_state and signal.is_state))
+            ]
+            assert coi_features(design, name, include_state=include_state) == expected
+    scores = {name: len(nx.descendants(graph, name)) for name in model.signals}
+    assert influence_ranking(design) == sorted(
+        model.signals, key=lambda name: (-scores[name], name)
+    )

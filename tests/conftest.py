@@ -7,6 +7,8 @@ the whole suite builds them once.
 from __future__ import annotations
 
 import os
+import signal
+import threading
 
 import pytest
 from hypothesis import settings
@@ -20,6 +22,40 @@ from repro.hdl import Design
 settings.register_profile("ci", derandomize=True)
 if os.environ.get("CI"):
     settings.load_profile("ci")
+
+#: Wall-clock bound for one test under ``tests/`` (set-up of function-scoped
+#: fixtures included).  On a 2-core Xeon VM the slowest test here takes ~22 s
+#: and the slowest in the whole tier-1 run (a benchmark) ~53 s, so 300 s
+#: fires on a hang, not on a slow machine.
+TEST_TIMEOUT_S = 300.0
+
+
+@pytest.fixture(autouse=True)
+def _hang_guard(request):
+    """Fail the running test once it exceeds :data:`TEST_TIMEOUT_S`.
+
+    Built on ``SIGALRM``, so it is inert off the main thread and on platforms
+    without that signal.
+    """
+    on_main_thread = threading.current_thread() is threading.main_thread()
+    if not hasattr(signal, "SIGALRM") or not on_main_thread:
+        yield
+        return
+
+    def expire(signum, frame):
+        pytest.fail(
+            f"{request.node.nodeid} ran past the {TEST_TIMEOUT_S:g} s per-test bound "
+            "(TEST_TIMEOUT_S in tests/conftest.py)"
+        )
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, TEST_TIMEOUT_S)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+
 
 ARB2_SOURCE = """
 module arb2(clk, rst, req1, req2, gnt1, gnt2);
