@@ -247,8 +247,8 @@ def coi_features(
 def sequential_depth(design_or_model, source: str, target: str) -> Optional[int]:
     """Minimum number of register stages on a path from ``source`` to ``target``.
 
-    Returns ``None`` when no path exists.  Used by the miners to decide how
-    many ``##`` cycles to put between antecedent and consequent candidates.
+    Returns ``None`` when no path exists.  No miner calls it; it builds the
+    networkx VDG and so imports networkx inside the function.
     """
     import networkx as nx
 

