@@ -35,8 +35,8 @@ _PER_DESIGN = 4 if _SMOKE else 6
 #: must hold the 5x target of the vectorized-kernel work.
 _MIN_SPEEDUP = 1.0 if _SMOKE else 5.0
 
-#: Designs the vectorized path used to refuse before the bit-sliced and
-#: multi-limb lowerings landed (wide buses, wide intermediates, memories).
+#: Designs the vectorized path used to refuse before the multi-limb
+#: lowering landed (wide buses, wide intermediates, memories).
 #: They are timed as their own subset: this set must never fall back again,
 #: and the multi-limb path must beat the compiled backend on it.
 _FORMER_FALLBACK_SET = [
@@ -139,9 +139,9 @@ def test_fpv_kernel_speedup():
     _, warm_s, _ = _sweep(jobs, VECTORIZED, reachability_cache=cache)
 
     # Lowering census: which plan every design of the sweep corpus *and* the
-    # wide-operand corpus gets.  Since the bit-sliced and multi-limb kernels
-    # landed this must be fallback-free — a nonzero count means a design
-    # silently dropped back to the scalar per-seed loop.
+    # wide-operand corpus gets.  Since the multi-limb kernel landed this must
+    # be fallback-free — a nonzero count means a design silently dropped back
+    # to the scalar per-seed loop.
     wide_corpus = get_corpus("assertionbench-wide")
     census_designs = list(corpus.all_designs()) + list(wide_corpus.all_designs())
     plan_by_design, plan_counts, reason_histogram = _plan_census(census_designs)

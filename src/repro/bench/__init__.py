@@ -16,7 +16,6 @@ from .corpus import (
     list_corpora,
     load_corpus,
     register_corpus,
-    source_fingerprint,
 )
 from .icl import IclExampleSet, build_icl_examples
 from .knowledge import DesignKnowledge, DesignKnowledgeBase
@@ -41,5 +40,4 @@ __all__ = [
     "list_corpora",
     "load_corpus",
     "register_corpus",
-    "source_fingerprint",
 ]

@@ -27,13 +27,12 @@ worker needs the ICE pool).
 
 from __future__ import annotations
 
-import hashlib
 import threading
 from dataclasses import dataclass
 from functools import partial
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
-from ..hdl.design import Design
+from ..hdl.design import Design, source_fingerprint
 from .designs import arithmetic, basic, comm, fsm, memory, sequential, wide
 
 
@@ -188,11 +187,6 @@ _SOURCE_CACHE: Dict[CorpusSpec, str] = {}
 #: reuse one elaboration as long as the source and metadata agree.
 _DESIGN_CACHE: Dict[Tuple[str, str, str, str], Design] = {}
 _BUILD_LOCK = threading.Lock()
-
-
-def source_fingerprint(source: str) -> str:
-    """Stable content hash of design source text (also used by run stores)."""
-    return hashlib.sha256(source.encode()).hexdigest()[:16]
 
 
 def build_design(spec: CorpusSpec) -> Design:
@@ -490,9 +484,8 @@ register_corpus(
 )
 
 #: Wide-datapath family: every design carries operands past the 64-bit packed
-#: ceiling, so the whole corpus exercises the multi-limb (and, for narrow
-#: control planes, bit-sliced) lowering strategies.  Zero scalar fallbacks
-#: across this corpus is a CI-gated invariant.
+#: ceiling, so the whole corpus exercises the multi-limb lowering strategy.
+#: Zero scalar fallbacks across this corpus is a CI-gated invariant.
 WIDE_SPECS: List[CorpusSpec] = [
     _spec("wide_counter100", "wide-arithmetic", "100-bit strided up counter", partial(wide.wide_counter, 100, 1)),
     _spec("wide_counter128", "wide-arithmetic", "128-bit strided up counter", partial(wide.wide_counter, 128, 2)),

@@ -5,7 +5,7 @@ thresholds, polynomial masks, mux banks) are drawn from ``random.Random(seed)``
 so two corpus instances always synthesize identical source, while different
 seeds give structurally-identical designs with unrelated constants.
 
-The family exists to exercise the multi-limb and bit-sliced lowering paths of
+The family exists to exercise the multi-limb lowering path of
 :mod:`repro.sim.vector`: 100-bit counters and accumulators, wide compares and
 checksums, a 40x40 multiplier, dynamic wide shifts, and a ``**``-using
 polynomial generator.  None of these fit the packed int64 SoA representation,

@@ -115,15 +115,13 @@ def campaign_config(
     (enforced by the backend-equivalence suite), so e.g. ``repro mutate
     --backend vectorized`` may resume a campaign that ran compiled.
     """
-    from ..bench.corpus import source_fingerprint
-
     engine = dataclasses.asdict(config.engine)
     engine.pop("backend", None)
     payload: Dict = {
         "models": [generator.name for generator in generators],
         "k_values": list(k_values),
         "designs": [
-            {"name": design.name, "source": source_fingerprint(design.source)}
+            {"name": design.name, "source": design.fingerprint}
             for design in designs
         ],
         "engine": engine,

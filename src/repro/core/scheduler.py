@@ -32,7 +32,6 @@ from ..fpv.engine import (
     EngineConfig,
     FormalEngine,
     ReachabilityCache,
-    design_fingerprint,
     reachability_key,
 )
 from ..fpv.transition import ReachabilityResult
@@ -133,10 +132,10 @@ def _design_key(design: Design) -> str:
 
     Keying on the name alone would hand back verdicts (or worker-side
     engines) from a different design that happens to share it; the hash is
-    the same :func:`~repro.fpv.engine.design_fingerprint` the reachability
+    the same :attr:`~repro.hdl.design.Design.fingerprint` the reachability
     and mutation records are keyed by.
     """
-    return f"{design.name}:{design_fingerprint(design.source)}"
+    return f"{design.name}:{design.fingerprint}"
 
 
 #: Engines are cached per worker process so repeated batches against the same

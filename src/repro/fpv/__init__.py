@@ -5,7 +5,6 @@ from .engine import (
     FormalEngine,
     ReachabilityCache,
     check_assertion,
-    design_fingerprint,
     reachability_key,
 )
 from .result import Counterexample, ProofResult, ProofStatus, error_result
@@ -31,7 +30,6 @@ __all__ = [
     "TransitionSystem",
     "check_assertion",
     "check_on_trace",
-    "design_fingerprint",
     "enumerate_reachable",
     "error_result",
     "reachability_key",

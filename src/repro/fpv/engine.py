@@ -45,7 +45,6 @@ campaign reruns then skip the BFS entirely (see
 
 from __future__ import annotations
 
-import hashlib
 import threading
 from dataclasses import dataclass
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
@@ -86,11 +85,6 @@ class EngineConfig:
     backend: Optional[str] = None
 
 
-def design_fingerprint(source: str) -> str:
-    """Stable content hash of design source text."""
-    return hashlib.sha256(source.encode()).hexdigest()[:16]
-
-
 def fallback_stimuli(config: EngineConfig) -> List[ResetSequenceStimulus]:
     """The falsification stimuli an engine simulates for one design.
 
@@ -115,7 +109,7 @@ ReachabilityKey = Tuple[str, int, int, int]
 
 def reachability_key(design: Design, config: EngineConfig) -> ReachabilityKey:
     return (
-        design_fingerprint(design.source),
+        design.fingerprint,
         config.max_states,
         config.max_transitions,
         config.max_input_bits,
@@ -317,9 +311,9 @@ class FormalEngine:
 
         ``None`` on scalar backends.  On the vectorized backend returns
         ``{"design", "plan", "reason"}`` where ``plan`` is the representation
-        the planner picked (``soa``/``bitsliced``/``multilimb``) or
-        ``fallback`` when every strategy refused, with ``reason`` carrying
-        the per-strategy refusal messages.
+        the planner picked (``soa``/``multilimb``) or ``fallback`` when both
+        lowerings refused, with ``reason`` carrying the per-strategy refusal
+        messages.
         """
         plan = self._system.lowering_plan()
         if plan is None:

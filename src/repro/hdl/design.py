@@ -7,6 +7,7 @@ signals, the simulator and FPV engine run over a design's elaborated model.
 
 from __future__ import annotations
 
+import hashlib
 from dataclasses import dataclass, field
 from typing import Dict, Optional
 
@@ -14,6 +15,12 @@ from .ast import Module
 from .elaborate import RtlModel, elaborate
 from .metrics import SourceMetrics, analyze_source
 from .parser import parse_source
+
+
+def source_fingerprint(source: str) -> str:
+    """Stable content hash of design source text: the identity that run
+    stores, verdict and reachability caches, and mutation records key on."""
+    return hashlib.sha256(source.encode()).hexdigest()[:16]
 
 
 @dataclass
@@ -61,6 +68,11 @@ class Design:
         if self.metrics is None:
             self.metrics = analyze_source(self.source)
         return self.metrics.code_lines
+
+    @property
+    def fingerprint(self) -> str:
+        """:func:`source_fingerprint` of this design's source."""
+        return source_fingerprint(self.source)
 
     @property
     def is_sequential(self) -> bool:

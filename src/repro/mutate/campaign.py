@@ -31,7 +31,6 @@ from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from ..core.scheduler import VerificationService
-from ..fpv.engine import design_fingerprint
 from ..fpv.result import ProofResult
 from ..hdl.design import Design
 from .operators import Mutant, enumerate_mutants, resolve_operators
@@ -368,7 +367,7 @@ class MutationCampaign:
             ]
             if not texts:
                 continue
-            fingerprint = design_fingerprint(design.source)
+            fingerprint = design.fingerprint
             normalised = [normalize_assertion(text) for text in texts]
             marker = completed_designs.get(design.name)
             if (
@@ -480,7 +479,7 @@ class MutationCampaign:
                         operator=mutant.operator,
                         site=mutant.site,
                         description=mutant.description,
-                        mutant_fingerprint=design_fingerprint(mutant.design.source),
+                        mutant_fingerprint=mutant.design.fingerprint,
                         assertion=normalised[position],
                         outcome=classify_outcome(proof),
                         status=proof.status.value,

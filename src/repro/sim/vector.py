@@ -18,10 +18,9 @@ Semantics are bit-for-bit identical to the interpreted and compiled scalar
 backends for every design the lowering accepts.  The plain structure-of-
 arrays kernel refuses anything it cannot prove safe inside 63-bit signed
 integer arithmetic (very wide signals, multiplies past 31 bits, ``**``);
-:func:`plan_model` then tries the alternative representations — the
-bit-sliced kernel of :mod:`repro.sim.bitslice` for control-dominated
-boolean logic and the multi-limb kernel of :mod:`repro.sim.limb` for wide
-datapaths — before giving up.  Only when every lowering strategy raises
+:func:`plan_model` then tries the one alternative representation, the
+multi-limb kernel of :mod:`repro.sim.limb` for wide datapaths, before
+giving up.  Only when both lowerings raise
 :class:`UnsupportedForVectorization` does a design fall back to the
 compiled backend, and the plan records the reason so the fallback is
 observable instead of silent.  The scalar backends remain the reference
@@ -30,7 +29,6 @@ oracles throughout.
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
@@ -1024,9 +1022,8 @@ class _EnvAliasSink(_NbSink):
 # The lowering planner
 # ---------------------------------------------------------------------------
 
-#: Plan identifiers (also the values accepted by ``REPRO_VECTOR_PLAN``).
+#: Plan identifiers, as reported by :class:`LoweringPlan` and ``run_stats()``.
 PLAN_SOA = "soa"
-PLAN_BITSLICED = "bitsliced"
 PLAN_MULTILIMB = "multilimb"
 PLAN_FALLBACK = "fallback"
 
@@ -1052,12 +1049,6 @@ def _build_soa(model: RtlModel) -> VectorKernel:
     return VectorKernel(model)
 
 
-def _build_bitsliced(model: RtlModel) -> VectorKernel:
-    from .bitslice import BitSlicedKernel
-
-    return BitSlicedKernel(model)
-
-
 def _build_multilimb(model: RtlModel) -> VectorKernel:
     from .limb import MultiLimbKernel
 
@@ -1066,39 +1057,20 @@ def _build_multilimb(model: RtlModel) -> VectorKernel:
 
 _PLAN_BUILDERS: Dict[str, Callable[[RtlModel], VectorKernel]] = {
     PLAN_SOA: _build_soa,
-    PLAN_BITSLICED: _build_bitsliced,
     PLAN_MULTILIMB: _build_multilimb,
 }
 
 
 def plan_model(model: RtlModel) -> LoweringPlan:
-    """Choose and build the best vector lowering for one design.
+    """Choose and build the vector lowering for one design.
 
-    Strategy order: the bit-sliced kernel when the design's signal-width
-    histogram and state-space size predict a win (see
-    :func:`repro.sim.bitslice.bitslice_profitable`), then the plain SoA-int64
-    kernel, then the multi-limb kernel for designs SoA refuses (wide signals,
-    wide intermediates, ``**``).  ``REPRO_VECTOR_PLAN`` forces a single named
-    strategy (mainly for equivalence tests).
+    Strategy order: the plain SoA-int64 kernel, then the multi-limb kernel
+    for designs SoA refuses (wide signals, wide intermediates, ``**``).
     """
-    forced = os.environ.get("REPRO_VECTOR_PLAN")
-    if forced:
-        if forced == PLAN_FALLBACK:
-            return LoweringPlan(plan=PLAN_FALLBACK, kernel=None, reason="forced by env")
-        if forced not in _PLAN_BUILDERS:
-            raise ValueError(f"unknown REPRO_VECTOR_PLAN {forced!r}")
-        order = [forced]
-    else:
-        from .bitslice import bitslice_profitable
-
-        order = []
-        if bitslice_profitable(model):
-            order.append(PLAN_BITSLICED)
-        order.extend((PLAN_SOA, PLAN_MULTILIMB))
     attempts: Dict[str, str] = {}
-    for plan in order:
+    for plan, build in _PLAN_BUILDERS.items():
         try:
-            kernel = _PLAN_BUILDERS[plan](model)
+            kernel = build(model)
         except (UnsupportedForVectorization, EvalError) as exc:
             attempts[plan] = str(exc)
             continue

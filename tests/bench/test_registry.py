@@ -16,6 +16,7 @@ from repro.bench import (
     list_corpora,
     register_corpus,
 )
+from repro.hdl.design import source_fingerprint
 
 
 class TestRegistry:
@@ -76,6 +77,15 @@ class TestBuildMemoization:
         shard = get_corpus(DEFAULT_CORPUS, shard=(0, 4))
         name = shard.names("test")[0]
         assert shard.design(name) is full.design(name)
+
+
+class TestDesignIdentity:
+    def test_fingerprint_is_stable(self):
+        # Run dirs, verdict caches and reachability caches are keyed by this
+        # hash; a different value would orphan every stored result.
+        design = get_corpus("assertionbench-control").design("arb2")
+        assert design.fingerprint == "da96102c3fd721ff"
+        assert source_fingerprint(design.source) == design.fingerprint
 
 
 class TestSharding:

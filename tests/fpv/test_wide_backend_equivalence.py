@@ -17,6 +17,7 @@ import pytest
 from repro.bench.corpus import get_corpus
 from repro.fpv import EngineConfig, FormalEngine, TransitionSystem, enumerate_reachable
 from repro.hdl import Design
+from repro.sim import vector
 from repro.sim.vector import PLAN_FALLBACK, PLAN_MULTILIMB, plan_model
 
 _ENGINE_KWARGS = dict(
@@ -100,7 +101,6 @@ class TestWideCorpusVerdicts:
 
     def test_forced_fallback_still_agrees_and_is_reported(self, wide_corpus, monkeypatch):
         """With the planner pinned to SoA the wide design cannot lower; the
-
         engine must fall back to the scalar path, report the per-strategy
         refusal, and still return the compiled verdicts bit-for-bit.
         """
@@ -112,7 +112,7 @@ class TestWideCorpusVerdicts:
                 design, EngineConfig(backend="compiled", **_ENGINE_KWARGS)
             ).check_batch(batch)
         ]
-        monkeypatch.setenv("REPRO_VECTOR_PLAN", "soa")
+        monkeypatch.setattr(vector, "_PLAN_BUILDERS", {"soa": vector._build_soa})
         engine = FormalEngine(design, EngineConfig(backend="vectorized", **_ENGINE_KWARGS))
         vectorized = [_verdict_key(r) for r in engine.check_batch(batch)]
         assert vectorized == compiled

@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import pytest
 
-from repro.fpv.engine import design_fingerprint
 from repro.hdl.design import Design
 from repro.mutate import (
     apply_mutation,
@@ -82,15 +81,15 @@ class TestApplyMutation:
         assert "count == 7" not in mutant.source
 
     def test_mutants_are_content_addressed(self, counter):
-        golden_fp = design_fingerprint(counter.source)
+        golden_fp = counter.fingerprint
         seen = {golden_fp}
         for site in mutation_sites(counter)[:8]:
             mutant = apply_mutation(counter, site.operator, site.index)
-            fp = design_fingerprint(mutant.source)
+            fp = mutant.fingerprint
             assert fp not in seen, "mutant fingerprint collides"
             seen.add(fp)
             again = apply_mutation(counter, site.operator, site.index)
-            assert design_fingerprint(again.source) == fp
+            assert again.fingerprint == fp
 
     def test_out_of_range_site_raises(self, counter):
         with pytest.raises(IndexError):
@@ -106,7 +105,7 @@ class TestApplyMutation:
         sites = mutation_sites(design, ["const-offset"])
         assert len(sites) == 1
         fingerprints = {
-            design_fingerprint(apply_mutation(design, s.operator, s.index).source)
+            apply_mutation(design, s.operator, s.index).fingerprint
             for s in sites
         }
         assert len(fingerprints) == len(sites)

@@ -277,6 +277,47 @@ class TestLimbExpressionLanes:
             ], op
 
 
+#: A narrow control FSM: SoA-planned, so only a direct build runs the limb
+#: kernel on it.
+_FSM_SOURCE = """\
+module ctrlfsm(clk, rst, a, b, state, flag, ones, y0, y1, y2, y3);
+  input clk, rst, a, b;
+  output reg [1:0] state;
+  output reg flag;
+  output [1:0] ones;
+  output y0, y1, y2, y3;
+  reg p0, p1, p2, p3;
+  always @(posedge clk or posedge rst) begin
+    if (rst) begin
+      state <= 2'd0;
+      flag <= 1'b0;
+      p0 <= 1'b0;
+      p1 <= 1'b0;
+      p2 <= 1'b1;
+      p3 <= 1'b0;
+    end else begin
+      case (state)
+        2'd0: state <= a ? 2'd1 : 2'd0;
+        2'd1: state <= b ? 2'd2 : 2'd1;
+        2'd2: state <= (a & b) ? 2'd3 : 2'd0;
+        default: state <= 2'd0;
+      endcase
+      flag <= (state == 2'd3) | (a ^ b);
+      p0 <= a ^ p1;
+      p1 <= b & p2;
+      p2 <= p3 | a;
+      p3 <= ~p0;
+    end
+  end
+  assign ones = {1'b0, a} + {1'b0, b};
+  assign y0 = p0 ^ p2;
+  assign y1 = p1 & flag;
+  assign y2 = state < 2'd2;
+  assign y3 = state[1];
+endmodule
+"""
+
+
 class TestLimbSimulation:
     @pytest.mark.parametrize(
         "name",
@@ -294,6 +335,18 @@ class TestLimbSimulation:
             )
             for signal in trace.signals:
                 assert trace.column(signal) == scalar.column(signal), (name, seed, signal)
+
+    def test_narrow_control_fsm_matches_scalar_traces(self):
+        design = Design.from_source(_FSM_SOURCE)
+        kernel = MultiLimbKernel(design.model)
+        stimuli = [RandomStimulus(seed=seed) for seed in range(2)]
+        batched = simulate_batch(design.model, stimuli, 30, kernel=kernel)
+        for seed, trace in enumerate(batched):
+            scalar = Simulator(design, backend="compiled").run(
+                cycles=30, stimulus=RandomStimulus(seed=seed)
+            )
+            for signal in trace.signals:
+                assert trace.column(signal) == scalar.column(signal), (seed, signal)
 
     def test_settled_env_row_round_trip(self):
         design = get_corpus("assertionbench-wide").design("wide_cmp100")
