@@ -469,9 +469,9 @@ class VectorStmtCompiler:
     """Compile procedural statement bodies to masked array kernels.
 
     The control-flow machinery is representation-agnostic: every place a
-    value must become a lane mask (conditions, case-label matches, mask
-    inversion) routes through an overridable hook, so the multi-limb and
-    bit-plane compilers reuse the whole If/Case/Block scaffolding by
+    value must become a lane mask (conditions, case-label matches) or a
+    per-lane value column routes through an overridable hook, so the
+    multi-limb compiler reuses the whole If/Case/Block scaffolding by
     overriding only the hooks and the store kernels.
     """
 
@@ -489,14 +489,6 @@ class VectorStmtCompiler:
     def _eq_mask(self, label_value, subject_value, env: Cols):
         """Lane mask where a case label equals the case subject."""
         return np.equal(label_value, subject_value)
-
-    def _invert_mask(self, cond, env: Cols):
-        """Complement of a lane mask within the valid lanes."""
-        return _invert(cond)
-
-    def _materialize_mask(self, mask, env: Cols, lanes: int) -> Mask:
-        """Normalise a scalar-bool mask to the representation's mask type."""
-        return _materialize(mask, lanes)
 
     def _lift(self, value, lanes: int):
         """Broadcast a kernel result to a full per-lane value column."""
@@ -537,18 +529,16 @@ class VectorStmtCompiler:
                 self.compile_stmt(stmt.else_body) if stmt.else_body is not None else None
             )
             cond_mask = self._cond_mask
-            invert_mask = self._invert_mask
-            materialize = self._materialize_mask
 
             def if_stmt(env: Cols, nb: _NbSink, mask: Mask, lanes: int) -> None:
                 taken = cond_mask(cond(env), env)
                 then_mask = _and_mask(mask, taken)
                 if _mask_any(then_mask):
-                    then(env, nb, materialize(then_mask, env, lanes), lanes)
+                    then(env, nb, _materialize(then_mask, lanes), lanes)
                 if otherwise is not None:
-                    else_mask = _and_mask(mask, invert_mask(taken, env))
+                    else_mask = _and_mask(mask, _invert(taken))
                     if _mask_any(else_mask):
-                        otherwise(env, nb, materialize(else_mask, env, lanes), lanes)
+                        otherwise(env, nb, _materialize(else_mask, lanes), lanes)
 
             return if_stmt
         if isinstance(stmt, ast.Case):
@@ -562,8 +552,6 @@ class VectorStmtCompiler:
             )
             default = self.compile_stmt(stmt.default) if stmt.default is not None else None
             eq_mask = self._eq_mask
-            invert_mask = self._invert_mask
-            materialize = self._materialize_mask
 
             def case(env: Cols, nb: _NbSink, mask: Mask, lanes: int) -> None:
                 value = subject(env)
@@ -574,12 +562,12 @@ class VectorStmtCompiler:
                         hit = _mask_or(hit, eq_mask(label(env), value, env))
                     arm_mask = _and_mask(mask, _mask_and(unmatched, hit))
                     if _mask_any(arm_mask):
-                        body(env, nb, materialize(arm_mask, env, lanes), lanes)
-                    unmatched = _mask_and(unmatched, invert_mask(hit, env))
+                        body(env, nb, _materialize(arm_mask, lanes), lanes)
+                    unmatched = _mask_and(unmatched, _invert(hit))
                 if default is not None:
                     default_mask = _and_mask(mask, unmatched)
                     if _mask_any(default_mask):
-                        default(env, nb, materialize(default_mask, env, lanes), lanes)
+                        default(env, nb, _materialize(default_mask, lanes), lanes)
 
             return case
         raise UnsupportedForVectorization(f"unsupported statement {stmt!r}")
