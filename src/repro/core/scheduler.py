@@ -13,6 +13,11 @@ discharge generated assertions:
 4. a verdict cache keyed by (design name, normalised assertion text) fronts
    the whole flow.
 
+A batch whose worker raises or dies is re-run in-process once; a crashed
+worker breaks the whole pool, so the pool is dropped and every batch it still
+held is re-run too.  A batch that fails in-process as well gets one ``error``
+verdict per assertion, naming the failure, and those verdicts are not cached.
+
 The cache is process-safe by construction: worker processes never see it —
 lookups happen before dispatch and verdicts are stored after collection, all
 in the parent process, under a lock so concurrent submitting threads cannot
@@ -25,8 +30,9 @@ import dataclasses
 import os
 import threading
 from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 from ..fpv.engine import (
     EngineConfig,
@@ -36,7 +42,7 @@ from ..fpv.engine import (
 )
 from ..fpv.transition import ReachabilityResult
 from ..hdl.design import Design
-from ..fpv.result import ProofResult
+from ..fpv.result import ProofResult, ProofStatus
 from ..sva.model import Assertion
 
 AssertionLike = Union[str, Assertion]
@@ -302,6 +308,43 @@ class VerificationService:
                 self._pool = ProcessPoolExecutor(max_workers=self.effective_workers())
             return self._pool
 
+    def _drop_pool(self, pool: ProcessPoolExecutor) -> None:
+        """Forget a broken pool; the next dispatch starts a fresh one."""
+        with self._pool_lock:
+            if self._pool is pool:
+                self._pool = None
+        pool.shutdown(wait=False, cancel_futures=True)
+
+    def _run_batches(self, fn: Callable, calls: List[tuple]) -> List[object]:
+        """Run ``fn(*args)`` for every args tuple; outcomes in call order.
+
+        With workers configured the calls go to the pool, and a call whose
+        worker raised or died is re-run in-process once.  A call that raises
+        in-process yields its exception as the outcome.
+        """
+        futures: List = [None] * len(calls)
+        if self.effective_workers() > 1:
+            pool = self._get_pool()
+            try:
+                futures = [pool.submit(fn, *args) for args in calls]
+            except BrokenProcessPool:
+                self._drop_pool(pool)
+        outcomes: List[object] = []
+        for args, future in zip(calls, futures):
+            if future is not None:
+                try:
+                    outcomes.append(future.result())
+                    continue
+                except BrokenProcessPool:
+                    self._drop_pool(pool)
+                except Exception:
+                    pass
+            try:
+                outcomes.append(fn(*args))
+            except Exception as error:
+                outcomes.append(error)
+        return outcomes
+
     # -- public API ----------------------------------------------------------------
 
     def check(self, design: Design, assertion: AssertionLike) -> ProofResult:
@@ -450,27 +493,27 @@ class VerificationService:
                     witness_screen,
                 )
 
-            if workers <= 1:
-                outcomes = [
-                    _check_family_job(*shard_args(job_index, shard_mutants))
-                    for job_index, shard_mutants in shards
-                ]
-            else:
-                pool = self._get_pool()
-                futures = [
-                    pool.submit(_check_family_job, *shard_args(job_index, shard_mutants))
-                    for job_index, shard_mutants in shards
-                ]
-                outcomes = [future.result() for future in futures]
+            outcomes = self._run_batches(
+                _check_family_job,
+                [shard_args(job_index, shard_mutants) for job_index, shard_mutants in shards],
+            )
             touched: List[int] = []
-            for (job_index, shard_mutants), (verdicts, fresh, family_stats) in zip(
-                shards, outcomes
-            ):
+            for (job_index, shard_mutants), outcome in zip(shards, outcomes):
                 _, _, _, texts, _ = by_index[job_index]
+                cached = cached_layers[job_index]
+                if job_index not in touched:
+                    touched.append(job_index)
+                if isinstance(outcome, Exception):
+                    for position, mutant in shard_mutants:
+                        for text_index, text in enumerate(texts):
+                            cached[(position, text_index)] = _failed_batch_result(
+                                mutant.design, text, outcome
+                            )
+                    continue
+                verdicts, fresh, family_stats = outcome
                 for key, result in fresh.items():
                     self._reachability_cache.put(key, result)
                 self._merge_family_stats(family_stats)
-                cached = cached_layers[job_index]
                 stored: List[Tuple[str, str, ProofResult]] = []
                 for (position, mutant), mutant_verdicts in zip(shard_mutants, verdicts):
                     design_key = _design_key(mutant.design)
@@ -480,8 +523,6 @@ class VerificationService:
                         cached[(position, text_index)] = verdict
                         stored.append((design_key, text, verdict))
                 self._cache.put_many(stored)
-                if job_index not in touched:
-                    touched.append(job_index)
             for job_index in touched:
                 _, _, _, texts, _ = by_index[job_index]
                 mutants = list(jobs[job_index][1])
@@ -586,38 +627,45 @@ class VerificationService:
         # Single-batch calls still go to the pool when workers are configured:
         # the streaming runtime submits one design per call from several
         # threads, and running those inline would serialise them on the GIL.
-        if self.effective_workers() <= 1:
-            outcomes = [
-                _check_design_batch(design, assertions, engine_config, preload)
+        outcomes = self._run_batches(
+            _check_design_batch,
+            [
+                (design, assertions, engine_config, preload)
                 for (design, assertions, _), preload in zip(batches, preloads)
-            ]
-        else:
-            pool = self._get_pool()
-            futures = [
-                pool.submit(
-                    _check_design_batch, design, assertions, engine_config, preload
-                )
-                for (design, assertions, _), preload in zip(batches, preloads)
-            ]
-            # Collect in submission order: deterministic result assembly.
-            outcomes = [future.result() for future in futures]
+            ],
+        )
         stored: List[Tuple[str, str, ProofResult]] = []
-        for (design, _, keys), reach_key, preload, (
-            results,
-            snapshot,
-            step_stats,
-            lowering,
-        ) in zip(batches, reach_keys, preloads, outcomes):
+        for (design, assertions, keys), reach_key, preload, outcome in zip(
+            batches, reach_keys, preloads, outcomes
+        ):
+            design_pending = pending[_design_key(design)]
+            if isinstance(outcome, Exception):
+                for key, assertion in zip(keys, assertions):
+                    design_pending[key] = _failed_batch_result(design, assertion, outcome)
+                continue
+            results, snapshot, step_stats, lowering = outcome
             self._merge_step_stats(step_stats)
             self._merge_lowering_info(lowering)
             if snapshot is not None and preload is None:
                 self._reachability_cache.put(reach_key, snapshot)
-            design_pending = pending[_design_key(design)]
             for key, result in zip(keys, results):
                 design_pending[key] = result
                 stored.append((key[0], key[1], result))
         if stored:
             self._cache.put_many(stored)
+
+
+def _failed_batch_result(
+    design: Design, assertion: AssertionLike, error: Exception
+) -> ProofResult:
+    """The ``error`` verdict of an assertion whose batch failed in-process."""
+    return ProofResult(
+        status=ProofStatus.ERROR,
+        assertion=assertion if isinstance(assertion, Assertion) else None,
+        design_name=design.name,
+        reason=f"verification batch failed: {type(error).__name__}: {error}",
+        engine="scheduler",
+    )
 
 
 def _assertion_text(assertion: AssertionLike) -> str:

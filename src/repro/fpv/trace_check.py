@@ -1,8 +1,9 @@
 """Evaluate assertions over simulation traces.
 
 Used in three places: the FPV engine's simulation-falsification fallback, the
-assertion miners' candidate filtering, and the test suite's cross-checks
-between formal verdicts and simulated behaviour.
+assertion miners (HARM's candidate filtering, the ranker's coverage, and
+GoldMine's per-atom columns through :meth:`TraceChecker.column`), and the
+test suite's cross-checks between formal verdicts and simulated behaviour.
 
 Checking is columnar.  Each distinct term is evaluated once per trace into a
 *column*: a Python int bitmask whose bit ``c`` is set when the term holds at
@@ -83,6 +84,16 @@ class TraceChecker:
             return self._check_columns(assertion, trace)
         except EvalError:
             return self.check_scalar(assertion, trace)
+
+    def column(self, expr: ast.Expr, trace: Trace) -> int:
+        """Bitmask whose bit ``c`` is set when ``expr`` holds at cycle ``c``.
+
+        Served from the same per-trace cache :meth:`check` fills, so every
+        consumer of one checker evaluates a term at most once per trace.
+        Raises :class:`EvalError` where the kernel cannot evaluate ``expr``.
+        """
+        cycles = trace.num_cycles
+        return self._column(self._trace_columns(trace, cycles), expr, trace, cycles)
 
     def holds_on(self, assertion: Assertion, trace: Trace) -> bool:
         """True when the assertion has no violation on the trace."""
@@ -181,7 +192,7 @@ class TraceChecker:
             for values in zip(*(trace.data[name][:cycles] for name in names))
         ]
         bits.reverse()
-        return int("".join(bits), 2)
+        return int("".join(bits) or "0", 2)
 
     # -- scalar oracle -------------------------------------------------------------
 

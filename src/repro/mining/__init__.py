@@ -1,6 +1,6 @@
 """Assertion mining: GoldMine-style trees, HARM-style templates, ranking."""
 
-from .dataset import Atom, MiningDataset, build_dataset, candidate_atoms, mining_targets, trace_atoms
+from .dataset import Atom, candidate_atoms, mining_targets, trace_atoms
 from .goldmine import GoldMineConfig, GoldMineMiner
 from .harm import HarmConfig, HarmMiner
 from .miner import AssertionMiner, MinerConfig, MiningReport, mine_verified_assertions
@@ -15,11 +15,9 @@ __all__ = [
     "HarmConfig",
     "HarmMiner",
     "MinerConfig",
-    "MiningDataset",
     "MiningReport",
     "RankedAssertion",
     "RankingWeights",
-    "build_dataset",
     "candidate_atoms",
     "mine_verified_assertions",
     "mining_targets",

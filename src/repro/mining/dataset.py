@@ -1,18 +1,20 @@
-"""Trace-derived datasets for assertion mining.
+"""Atomic propositions for assertion mining.
 
-Both miners (GoldMine-style and HARM-style) operate on tabular data extracted
-from simulation traces: rows are clock cycles, columns are *atomic
-propositions* over candidate signals (``sig == value`` for small-domain
-signals, ``sig[bit] == value`` for wide ones), and the label column is the
-proposition being explained (e.g. ``gnt1 == 1``).
+Both miners (GoldMine-style and HARM-style) reason about *atoms*: equality
+propositions over one design signal (``sig == value`` for small-domain
+signals, ``sig[bit] == value`` for wide ones).  The atoms worth considering
+are the values a signal actually takes in the simulation trace.  Neither
+miner tabulates the trace row by row: an atom's truth over the trace is one
+bitmask column (bit ``c`` set when the atom holds at cycle ``c``), taken from
+the :class:`~repro.fpv.trace_check.TraceChecker` that GoldMine, HARM and the
+ranker share, so each atom is evaluated once per trace.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import List, Optional
 
-from ..analysis import coi_features
 from ..hdl import ast
 from ..hdl.design import Design
 from ..sim.trace import Trace
@@ -41,39 +43,8 @@ class Atom:
             ast.Number(self.value),
         )
 
-    def evaluate(self, row: Dict[str, int]) -> bool:
-        raw = row.get(self.signal, 0)
-        if self.bit is not None:
-            raw = (raw >> self.bit) & 1
-        return raw == self.value
-
     def __str__(self) -> str:
         return str(self.expr())
-
-
-@dataclass
-class MiningDataset:
-    """Feature matrix for one target proposition."""
-
-    design_name: str
-    target: Atom
-    features: List[Atom]
-    rows: List[Tuple[Tuple[bool, ...], bool]] = field(default_factory=list)
-    delay: int = 0
-
-    @property
-    def num_rows(self) -> int:
-        return len(self.rows)
-
-    @property
-    def positives(self) -> int:
-        return sum(1 for _, label in self.rows if label)
-
-    def feature_column(self, index: int) -> List[bool]:
-        return [row[index] for row, _ in self.rows]
-
-    def labels(self) -> List[bool]:
-        return [label for _, label in self.rows]
 
 
 def candidate_atoms(design: Design, signal: str) -> List[Atom]:
@@ -104,38 +75,6 @@ def trace_atoms(design: Design, signal: str, trace: Trace) -> List[Atom]:
         atoms.append(Atom(signal, 0, bit=bit))
         atoms.append(Atom(signal, 1, bit=bit))
     return atoms
-
-
-def build_dataset(
-    design: Design,
-    trace: Trace,
-    target: Atom,
-    feature_signals: Optional[Sequence[str]] = None,
-    delay: int = 0,
-) -> MiningDataset:
-    """Build the feature matrix explaining ``target`` from ``trace``.
-
-    ``delay`` shifts the target ``delay`` cycles after the features, producing
-    data for next-cycle (``|=>``-style) assertions on registered targets.
-    """
-    if feature_signals is None:
-        feature_signals = coi_features(design, target.signal)
-    features: List[Atom] = []
-    for name in feature_signals:
-        if name == target.signal:
-            continue
-        features.extend(trace_atoms(design, name, trace))
-
-    dataset = MiningDataset(
-        design_name=design.name, target=target, features=features, delay=delay
-    )
-    last_row = trace.num_cycles - delay
-    for cycle in range(last_row):
-        row = trace.row(cycle)
-        label_row = trace.row(cycle + delay)
-        values = tuple(atom.evaluate(row) for atom in features)
-        dataset.rows.append((values, target.evaluate(label_row)))
-    return dataset
 
 
 def mining_targets(design: Design) -> List[str]:

@@ -7,6 +7,14 @@ static analysis (the cone of influence restricts the feature set).  Every
 root-to-leaf path ending in a pure leaf becomes a candidate assertion whose
 antecedent is the conjunction of decisions along the path.  Candidates are
 then discharged on the FPV engine; only proven ones survive.
+
+The tree grows on cycle bitmasks rather than on a table of rows.  Each atom
+(the target and every cone feature) is one column from the
+:class:`~repro.fpv.trace_check.TraceChecker` that HARM and the ranker share:
+bit ``c`` is set when the atom holds at cycle ``c``.  A tree node is the
+bitmask of the cycles that reach it; a split is an AND with a feature
+column, and supports and positive counts are ``int.bit_count()``.  A
+next-cycle (``|=>``) target is the label column shifted down by one cycle.
 """
 
 from __future__ import annotations
@@ -15,10 +23,12 @@ import math
 from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
 
+from ..analysis import coi_features
+from ..fpv.trace_check import TraceChecker
 from ..hdl.design import Design
 from ..sim.trace import Trace
 from ..sva.model import NON_OVERLAPPED, OVERLAPPED, Assertion, SequenceTerm
-from .dataset import Atom, MiningDataset, build_dataset, mining_targets, trace_atoms
+from .dataset import Atom, mining_targets, trace_atoms
 
 
 @dataclass
@@ -49,60 +59,73 @@ class _TreeNode:
 
 
 class GoldMineMiner:
-    """Mine candidate assertions for one design from a simulation trace."""
+    """Mine candidate assertions for one design from a simulation trace.
 
-    def __init__(self, design: Design, config: Optional[GoldMineConfig] = None):
+    ``checker`` supplies the atom columns; pass the one HARM and the ranker
+    use so the three share one column store per trace.
+    """
+
+    def __init__(
+        self,
+        design: Design,
+        config: Optional[GoldMineConfig] = None,
+        checker: Optional[TraceChecker] = None,
+    ):
         self._design = design
         self._config = config or GoldMineConfig()
+        self._checker = checker or TraceChecker(design.model)
 
     def mine(self, trace: Trace) -> List[Assertion]:
         """Return candidate assertions mined from ``trace`` (unverified)."""
         assertions: List[Assertion] = []
-        clock = self._design.model.clocks[0] if self._design.model.clocks else None
+        model = self._design.model
+        clock = model.clocks[0] if model.clocks else None
+        cycles = trace.num_cycles
         for target_signal in mining_targets(self._design)[: self._config.max_targets]:
-            for target_atom in trace_atoms(self._design, target_signal, trace):
-                assertions.extend(self._mine_target(trace, target_atom, clock, delay=0))
-                if (
-                    self._config.mine_next_cycle
-                    and self._design.model.signals[target_signal].is_state
-                ):
-                    assertions.extend(
-                        self._mine_target(trace, target_atom, clock, delay=1)
-                    )
+            targets = trace_atoms(self._design, target_signal, trace)
+            features = [
+                (atom, self._checker.column(atom.expr(), trace))
+                for name in coi_features(self._design, target_signal)
+                for atom in trace_atoms(self._design, name, trace)
+            ]
+            if not features:
+                continue
+            delays = (0,)
+            if self._config.mine_next_cycle and model.signals[target_signal].is_state:
+                delays = (0, 1)
+            for target in targets:
+                label = self._checker.column(target.expr(), trace)
+                for delay in delays:
+                    for atoms in self._mine_target(features, label >> delay, cycles - delay):
+                        assertions.append(self._to_assertion(atoms, target, clock, delay))
         return assertions
 
     # -- per-target mining -------------------------------------------------------
 
     def _mine_target(
-        self, trace: Trace, target: Atom, clock: Optional[str], delay: int
-    ) -> List[Assertion]:
-        dataset = build_dataset(self._design, trace, target, delay=delay)
-        if not dataset.features or dataset.num_rows < self._config.min_leaf_support:
+        self, features: Sequence[Tuple[Atom, int]], label: int, rows: int
+    ) -> List[List[Atom]]:
+        """Antecedents explaining ``label`` over the first ``rows`` cycles."""
+        if rows < max(self._config.min_leaf_support, 1):
             return []
-        if dataset.positives == 0 or dataset.positives == dataset.num_rows:
+        mask = (1 << rows) - 1
+        positives = (label & mask).bit_count()
+        if positives == 0 or positives == rows:
             # The target is constant in the trace; a decision tree would learn
             # nothing beyond the trivial invariant, which HARM-style templates
             # already cover.
             return []
-        rows = list(range(dataset.num_rows))
-        tree = self._grow(dataset, rows, depth=0, used=frozenset())
+        tree = self._grow(features, label, mask, depth=0)
         paths = self._paths_to_true_leaves(tree, [])
         paths.sort(key=lambda item: (-item[1], len(item[0])))
-        assertions = []
-        for atoms, _support in paths[: self._config.max_assertions_per_target]:
-            assertions.append(self._to_assertion(atoms, target, clock, delay))
-        return assertions
+        return [atoms for atoms, _support in paths[: self._config.max_assertions_per_target]]
 
     def _grow(
-        self,
-        dataset: MiningDataset,
-        rows: Sequence[int],
-        depth: int,
-        used: frozenset,
+        self, features: Sequence[Tuple[Atom, int]], label: int, rows: int, depth: int
     ) -> _TreeNode:
-        labels = [dataset.rows[i][1] for i in rows]
-        positives = sum(labels)
-        support = len(rows)
+        """Grow the subtree over the cycles set in the ``rows`` bitmask."""
+        support = rows.bit_count()
+        positives = (rows & label).bit_count()
         purity = max(positives, support - positives) / support if support else 0.0
         majority = positives * 2 >= support
 
@@ -113,44 +136,46 @@ class GoldMineMiner:
         ):
             return _TreeNode(label=majority, support=support, purity=purity)
 
-        best_index = self._best_split(dataset, rows, used)
-        if best_index is None:
+        split = self._best_split(features, label, rows, support, positives)
+        if split is None:
             return _TreeNode(label=majority, support=support, purity=purity)
-
-        atom = dataset.features[best_index]
-        true_rows = [i for i in rows if dataset.rows[i][0][best_index]]
-        false_rows = [i for i in rows if not dataset.rows[i][0][best_index]]
-        if not true_rows or not false_rows:
-            return _TreeNode(label=majority, support=support, purity=purity)
+        atom, column = split
         node = _TreeNode(atom=atom, support=support, purity=purity)
-        node.true_branch = self._grow(dataset, true_rows, depth + 1, used | {best_index})
-        node.false_branch = self._grow(dataset, false_rows, depth + 1, used | {best_index})
+        node.true_branch = self._grow(features, label, rows & column, depth + 1)
+        node.false_branch = self._grow(features, label, rows & ~column, depth + 1)
         return node
 
     def _best_split(
-        self, dataset: MiningDataset, rows: Sequence[int], used: frozenset
-    ) -> Optional[int]:
-        base_entropy = _entropy([dataset.rows[i][1] for i in rows])
+        self,
+        features: Sequence[Tuple[Atom, int]],
+        label: int,
+        rows: int,
+        support: int,
+        positives: int,
+    ) -> Optional[Tuple[Atom, int]]:
+        """The highest-gain feature; the first one wins a tie.
+
+        A feature split on higher up is constant over ``rows``, so it fails
+        the two-sided test below and is never chosen twice on one path.
+        """
+        base_entropy = _entropy(positives, support)
         best_gain = 1e-9
-        best_index: Optional[int] = None
-        for index in range(len(dataset.features)):
-            if index in used:
+        best: Optional[Tuple[Atom, int]] = None
+        for feature in features:
+            true_rows = rows & feature[1]
+            true_total = true_rows.bit_count()
+            false_total = support - true_total
+            if not true_total or not false_total:
                 continue
-            true_labels = [dataset.rows[i][1] for i in rows if dataset.rows[i][0][index]]
-            false_labels = [
-                dataset.rows[i][1] for i in rows if not dataset.rows[i][0][index]
-            ]
-            if not true_labels or not false_labels:
-                continue
-            total = len(true_labels) + len(false_labels)
+            true_positives = (true_rows & label).bit_count()
             gain = base_entropy - (
-                len(true_labels) / total * _entropy(true_labels)
-                + len(false_labels) / total * _entropy(false_labels)
+                true_total / support * _entropy(true_positives, true_total)
+                + false_total / support * _entropy(positives - true_positives, false_total)
             )
             if gain > best_gain:
                 best_gain = gain
-                best_index = index
-        return best_index
+                best = feature
+        return best
 
     def _paths_to_true_leaves(
         self, node: _TreeNode, path: List[Atom]
@@ -164,13 +189,10 @@ class GoldMineMiner:
             ):
                 return [(list(path), node.support)]
             return []
-        results = []
-        if node.true_branch is not None:
-            results.extend(self._paths_to_true_leaves(node.true_branch, path + [node.atom]))
-        if node.false_branch is not None:
-            negated = _negate(node.atom)
-            if negated is not None:
-                results.extend(self._paths_to_true_leaves(node.false_branch, path + [negated]))
+        results = self._paths_to_true_leaves(node.true_branch, path + [node.atom])
+        negated = _negate(node.atom)
+        if negated is not None:
+            results.extend(self._paths_to_true_leaves(node.false_branch, path + [negated]))
         return results
 
     def _to_assertion(
@@ -189,11 +211,10 @@ class GoldMineMiner:
         )
 
 
-def _entropy(labels: Sequence[bool]) -> float:
-    total = len(labels)
+def _entropy(positives: int, total: int) -> float:
+    """Binary entropy of ``positives`` true labels among ``total``."""
     if total == 0:
         return 0.0
-    positives = sum(labels)
     entropy = 0.0
     for count in (positives, total - positives):
         if count == 0:

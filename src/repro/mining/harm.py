@@ -46,10 +46,15 @@ class HarmConfig:
 class HarmMiner:
     """Instantiate assertion templates and filter them on a trace."""
 
-    def __init__(self, design: Design, config: Optional[HarmConfig] = None):
+    def __init__(
+        self,
+        design: Design,
+        config: Optional[HarmConfig] = None,
+        checker: Optional[TraceChecker] = None,
+    ):
         self._design = design
         self._config = config or HarmConfig()
-        self._checker = TraceChecker(design.model)
+        self._checker = checker or TraceChecker(design.model)
 
     def mine(self, trace: Trace) -> List[Assertion]:
         """Return candidate assertions that hold on ``trace`` with support."""

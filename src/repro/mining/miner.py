@@ -14,6 +14,7 @@ from typing import List, Optional
 
 from ..fpv.engine import EngineConfig, FormalEngine
 from ..fpv.result import ProofResult, ProofStatus
+from ..fpv.trace_check import TraceChecker
 from ..hdl.design import Design
 from ..sim.simulator import Simulator
 from ..sim.stimulus import default_stimulus
@@ -77,8 +78,10 @@ class AssertionMiner:
             stimulus = default_stimulus(self._design.model, seed=config.seed)
             trace = simulator.run(cycles=config.trace_cycles, stimulus=stimulus)
 
-        goldmine = GoldMineMiner(self._design, config.goldmine).mine(trace)
-        harm = HarmMiner(self._design, config.harm).mine(trace)
+        # One checker, so the miners and the ranker share one column per term.
+        checker = TraceChecker(self._design.model)
+        goldmine = GoldMineMiner(self._design, config.goldmine, checker).mine(trace)
+        harm = HarmMiner(self._design, config.harm, checker).mine(trace)
         candidates = deduplicate(goldmine + harm)
 
         report = MiningReport(
@@ -87,7 +90,7 @@ class AssertionMiner:
             candidates=candidates,
         )
 
-        ranker = AssertionRanker(self._design)
+        ranker = AssertionRanker(self._design, checker=checker)
         to_verify = candidates
         if config.verify and len(candidates) > config.max_verify_candidates:
             to_verify = ranker.top(candidates, trace, config.max_verify_candidates)

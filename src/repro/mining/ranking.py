@@ -57,10 +57,15 @@ class RankingWeights:
 class AssertionRanker:
     """Rank assertions for one design using a simulation trace."""
 
-    def __init__(self, design: Design, weights: Optional[RankingWeights] = None):
+    def __init__(
+        self,
+        design: Design,
+        weights: Optional[RankingWeights] = None,
+        checker: Optional[TraceChecker] = None,
+    ):
         self._design = design
         self._weights = weights or RankingWeights()
-        self._checker = TraceChecker(design.model)
+        self._checker = checker or TraceChecker(design.model)
 
     def rank(self, assertions: Sequence[Assertion], trace: Trace) -> List[RankedAssertion]:
         """Return assertions sorted by descending figure of merit."""

@@ -2,7 +2,10 @@
 
 from __future__ import annotations
 
+import os
+
 import pytest
+from faults import CRASH_MARKER_ENV, design_batch_crashing_once
 
 from repro.core import (
     CampaignRuntime,
@@ -12,6 +15,7 @@ from repro.core import (
     ResumeMismatchError,
     RunStore,
     campaign_config,
+    scheduler,
 )
 from repro.fpv import EngineConfig
 from repro.llm import GPT_35, GPT_4O, SimulatedCotsLLM
@@ -106,6 +110,24 @@ class TestStreaming:
             )
         assert _matrix_signature(matrix) == _matrix_signature(reference_matrix)
         assert len(store.completed_cells()) == 2 * len(campaign_designs)
+
+
+    @pytest.mark.skipif((os.cpu_count() or 1) < 2, reason="the worker pool needs two cores")
+    def test_crashed_worker_gives_the_clean_matrix(
+        self, generators, campaign_designs, icl_examples, reference_matrix, tmp_path,
+        monkeypatch,
+    ):
+        """A worker killed mid-campaign costs a retry, not the campaign."""
+        marker = tmp_path / "crashed"
+        monkeypatch.setenv(CRASH_MARKER_ENV, str(marker))
+        monkeypatch.setattr(scheduler, "_check_design_batch", design_batch_crashing_once)
+        config = PipelineConfig(engine=_FAST_ENGINE, workers=2)
+        with CampaignRuntime(config=config) as runtime:
+            matrix = runtime.run_campaign(
+                generators, (1,), campaign_designs, icl_examples
+            )
+        assert marker.exists()
+        assert _matrix_signature(matrix) == _matrix_signature(reference_matrix)
 
 
 class _InterruptingStore(RunStore):

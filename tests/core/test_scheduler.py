@@ -2,15 +2,23 @@
 
 from __future__ import annotations
 
+import os
 import zlib
 
 import pytest
+from faults import (
+    CRASH_MARKER_ENV,
+    design_batch_always_failing,
+    design_batch_crashing_once,
+    family_job_crashing_once,
+)
 
-from repro.core import SchedulerConfig, VerdictCache, VerificationService
+from repro.core import SchedulerConfig, VerdictCache, VerificationService, scheduler
 from repro.core.scheduler import _design_key
 from repro.fpv import EngineConfig, FormalEngine, ProofStatus
 from repro.fpv.result import ProofResult
 from repro.hdl import Design
+from repro.mutate import enumerate_mutants, operator_names
 
 _FAST_ENGINE = EngineConfig(
     max_states=1024,
@@ -154,3 +162,61 @@ class TestVerificationService:
             batches = service.check_many([(stuck, ["(q == 0);"]), (toggling, ["(q == 0);"])])
             assert [batch[0].status for batch in batches] == [ProofStatus.PROVEN, ProofStatus.CEX]
         assert service.check(toggling, "(q == 0);").status is ProofStatus.CEX
+
+
+def _verdict_matrix(batches):
+    return [[(v.status, v.complete, v.reason) for v in batch] for batch in batches]
+
+
+two_cores = pytest.mark.skipif(
+    (os.cpu_count() or 1) < 2, reason="the worker pool needs two cores"
+)
+
+
+class TestWorkerFailures:
+    @two_cores
+    def test_crashed_worker_gives_the_clean_matrix(self, small_jobs, tmp_path, monkeypatch):
+        follow_up = [(design, ["(1 == 1);"]) for design, _ in small_jobs]
+        clean = VerificationService(SchedulerConfig(engine=_FAST_ENGINE, workers=1))
+        expected = _verdict_matrix(clean.check_many(small_jobs))
+        expected_follow_up = _verdict_matrix(clean.check_many(follow_up))
+        marker = tmp_path / "crashed"
+        monkeypatch.setenv(CRASH_MARKER_ENV, str(marker))
+        monkeypatch.setattr(scheduler, "_check_design_batch", design_batch_crashing_once)
+        with VerificationService(SchedulerConfig(engine=_FAST_ENGINE, workers=2)) as service:
+            got = _verdict_matrix(service.check_many(small_jobs))
+            assert marker.exists()
+            # The broken pool was dropped: the next dispatch gets a fresh one.
+            assert _verdict_matrix(service.check_many(follow_up)) == expected_follow_up
+        assert got == expected
+
+    @two_cores
+    def test_crashed_family_worker_gives_the_clean_matrix(self, corpus, tmp_path, monkeypatch):
+        design = corpus.design("counter")
+        mutants, _ = enumerate_mutants(design, operator_names(), limit=4)
+        jobs = [(design, mutants, ["(count <= 15);", "(count != 9);"])]
+        clean = VerificationService(SchedulerConfig(engine=_FAST_ENGINE, workers=1))
+        expected = [_verdict_matrix(layer) for layer in clean.check_families(jobs)]
+        marker = tmp_path / "crashed"
+        monkeypatch.setenv(CRASH_MARKER_ENV, str(marker))
+        monkeypatch.setattr(scheduler, "_check_family_job", family_job_crashing_once)
+        with VerificationService(SchedulerConfig(engine=_FAST_ENGINE, workers=2)) as service:
+            got = [_verdict_matrix(layer) for layer in service.check_families(jobs)]
+        assert marker.exists()
+        assert got == expected
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_batch_failing_twice_gives_error_verdicts(self, small_jobs, monkeypatch, workers):
+        monkeypatch.setattr(scheduler, "_check_design_batch", design_batch_always_failing)
+        with VerificationService(
+            SchedulerConfig(engine=_FAST_ENGINE, workers=workers)
+        ) as service:
+            results = service.check_many(small_jobs)
+            # Failures are not cached: a later run tries again.
+            assert service.cache.stats()["entries"] == 0
+        for (design, assertions), verdicts in zip(small_jobs, results):
+            assert len(verdicts) == len(assertions)
+            for verdict in verdicts:
+                assert verdict.status is ProofStatus.ERROR
+                assert verdict.design_name == design.name
+                assert "injected batch failure" in verdict.reason

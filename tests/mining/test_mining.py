@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.fpv import FormalEngine, ProofStatus
+from repro.fpv import FormalEngine, ProofStatus, TraceChecker
 from repro.mining import (
     AssertionMiner,
     AssertionRanker,
@@ -12,13 +12,12 @@ from repro.mining import (
     HarmConfig,
     HarmMiner,
     MinerConfig,
-    build_dataset,
     candidate_atoms,
     mine_verified_assertions,
     mining_targets,
     trace_atoms,
 )
-from repro.sim import Simulator
+from repro.sim import Simulator, Trace
 
 
 @pytest.fixture(scope="module")
@@ -40,22 +39,49 @@ class TestDataset:
         atoms = trace_atoms(arb2_design, "gnt_", arb2_trace)
         assert {a.value for a in atoms} <= {0, 1}
 
-    def test_atom_expression_and_evaluation(self):
-        atom = Atom("sig", 1)
-        assert str(atom.expr()) == "(sig == 1)"
-        assert atom.evaluate({"sig": 1}) and not atom.evaluate({"sig": 0})
-        bit_atom = Atom("bus", 1, bit=2)
-        assert bit_atom.evaluate({"bus": 0b100})
+    def test_atom_expression(self):
+        assert str(Atom("sig", 1).expr()) == "(sig == 1)"
+        assert str(Atom("bus", 1, bit=2).expr()) == "(bus[2] == 1)"
 
-    def test_build_dataset_shapes(self, arb2_design, arb2_trace):
-        dataset = build_dataset(arb2_design, arb2_trace, Atom("gnt1", 1))
-        assert dataset.num_rows == arb2_trace.num_cycles
-        assert dataset.features
-        assert 0 < dataset.positives < dataset.num_rows
+    def test_atom_column_counts_cycles_where_it_holds(self, arb2_design, arb2_trace):
+        checker = TraceChecker(arb2_design.model)
+        atom = Atom("gnt1", 1)
+        column = checker.column(atom.expr(), arb2_trace)
+        holds = [value == 1 for value in arb2_trace.column("gnt1")]
+        assert column.bit_count() == sum(holds)
+        assert 0 < column.bit_count() < arb2_trace.num_cycles
+        assert column == sum(1 << cycle for cycle, bit in enumerate(holds) if bit)
+        empty = Trace(signals=list(arb2_design.model.signals))
+        assert checker.column(atom.expr(), empty) == 0
 
-    def test_build_dataset_with_delay(self, arb2_design, arb2_trace):
-        dataset = build_dataset(arb2_design, arb2_trace, Atom("gnt_", 1), delay=1)
-        assert dataset.num_rows == arb2_trace.num_cycles - 1
+    def test_delayed_label_has_one_row_fewer(self, arb2_design, arb2_trace):
+        checker = TraceChecker(arb2_design.model)
+        label = checker.column(Atom("gnt_", 1).expr(), arb2_trace) >> 1
+        rows = arb2_trace.num_cycles - 1
+        assert label.bit_length() <= rows
+        assert label == sum(
+            1 << cycle
+            for cycle in range(rows)
+            if arb2_trace.value("gnt_", cycle + 1) == 1
+        )
+
+    def test_bit_atoms_on_wide_signals(self, corpus):
+        design = corpus.design("counter16")
+        model = design.model
+        trace = Trace(signals=list(model.signals))
+        for cycle in range(64):
+            row = {name: 0 for name in model.signals}
+            row["count"] = (cycle * 2741) & model.signals["count"].mask
+            trace.append(row)
+        checker = TraceChecker(design.model)
+        atoms = trace_atoms(design, "count", trace)
+        assert atoms and all(atom.bit is not None for atom in atoms)
+        for atom in atoms:
+            column = checker.column(atom.expr(), trace)
+            expected = [
+                (value >> atom.bit) & 1 == atom.value for value in trace.column("count")
+            ]
+            assert column.bit_count() == sum(expected)
 
     def test_mining_targets_order(self, arb2_design):
         targets = mining_targets(arb2_design)
@@ -71,8 +97,6 @@ class TestGoldMine:
         assert any("gnt1" in text for text in rendered)
 
     def test_candidates_hold_on_the_mining_trace(self, arb2_design, arb2_trace):
-        from repro.fpv import TraceChecker
-
         checker = TraceChecker(arb2_design.model)
         for candidate in GoldMineMiner(arb2_design).mine(arb2_trace)[:10]:
             assert checker.check(candidate, arb2_trace).holds
@@ -91,8 +115,6 @@ class TestHarm:
         assert any(s.startswith("harm:") for s in sources)
 
     def test_min_support_filters_rare_antecedents(self, arb2_design, arb2_trace):
-        from repro.fpv import TraceChecker
-
         checker = TraceChecker(arb2_design.model)
         config = HarmConfig(min_support=20)
         for candidate in HarmMiner(arb2_design, config).mine(arb2_trace):
