@@ -59,6 +59,7 @@ from .core.reports import (
     weak_assertion_report,
 )
 from .core.runtime import CampaignRuntime, campaign_config
+from .core.scheduler import BATCH_FAILURE_ENGINE
 from .core.store import ResumeMismatchError, RunStore
 from .llm.cots import SimulatedCotsLLM
 from .llm.profiles import COTS_PROFILES
@@ -282,13 +283,29 @@ def _campaign(
                 progress=lambda message: print(message),
             )
         run_stats = runtime.service.run_stats()
-    store.finish_run(stats=run_stats)
+    # Cells and mutant verdicts whose verification batch failed are left
+    # uncommitted.
+    open_cells = total_cells - len(store.completed_cells())
+    open_mutants = 0
+    if summary is not None:
+        open_mutants = sum(
+            record.engine == BATCH_FAILURE_ENGINE for record in summary.records
+        )
+    if not (open_cells or open_mutants):
+        store.finish_run(stats=run_stats)
     store.close()
 
     print(accuracy_matrix_report(matrix, "Accuracy matrix").text)
     if summary is not None:
         _print_mutation_summary(summary)
     _print_run_stats(run_stats)
+    if open_cells or open_mutants:
+        print(
+            f"run directory: {store.root} (status: incomplete: verification "
+            f"batches failed for {open_cells} cells and {open_mutants} mutant "
+            "verdicts; rerunning the command verifies them again)"
+        )
+        return 1
     print(f"run directory: {store.root} (status: complete)")
     return 0
 

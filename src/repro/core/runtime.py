@@ -22,7 +22,9 @@ committed to the store's outcome shards before the next design finishes, FPV
 verdicts persist in the store's content-addressed verdict cache, and a rerun
 over the same store **resumes**: committed cells are loaded instead of
 re-evaluated, and re-generated assertions of uncommitted cells replay their
-verdicts from the persistent cache instead of re-proving them.
+verdicts from the persistent cache instead of re-proving them.  A cell whose
+verification batch failed (:func:`~repro.core.scheduler.is_batch_failure`)
+is evaluated but not committed, so the resume verifies it again.
 """
 
 from __future__ import annotations
@@ -54,6 +56,7 @@ from .scheduler import (
     SchedulerConfig,
     VerificationService,
     default_workers,
+    is_batch_failure,
 )
 from .store import RunStore
 
@@ -268,7 +271,9 @@ class CampaignRuntime:
             evaluation = self._assemble(
                 generator.name, k, design, lines, verdicts, use_corrector
             )
-            if self._store is not None:
+            # A cell holding a failed batch's stand-in verdicts stays
+            # uncommitted, so a resume verifies it again.
+            if self._store is not None and not any(map(is_batch_failure, verdicts)):
                 self._store.record_cell(
                     generator.name, k, design.name, evaluation.outcomes
                 )

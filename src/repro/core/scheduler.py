@@ -13,10 +13,14 @@ discharge generated assertions:
 4. a verdict cache keyed by (design name, normalised assertion text) fronts
    the whole flow.
 
-A batch whose worker raises or dies is re-run in-process once; a crashed
-worker breaks the whole pool, so the pool is dropped and every batch it still
-held is re-run too.  A batch that fails in-process as well gets one ``error``
-verdict per assertion, naming the failure, and those verdicts are not cached.
+With workers configured, a batch whose worker raises or dies is re-run
+in-process once; a crashed worker breaks the whole pool, so the pool is
+dropped and every batch it still held is re-run too.  A batch that fails
+in-process as well gets one ``error`` verdict per assertion, naming the
+failure (see :func:`is_batch_failure`).  Those verdicts are not cached, and
+the run store does not commit a cell or mutant sweep that holds one, so a
+resume verifies it again.  Without workers a failing batch raises, as any
+in-process call does.
 
 The cache is process-safe by construction: worker processes never see it —
 lookups happen before dispatch and verdicts are stored after collection, all
@@ -318,17 +322,20 @@ class VerificationService:
     def _run_batches(self, fn: Callable, calls: List[tuple]) -> List[object]:
         """Run ``fn(*args)`` for every args tuple; outcomes in call order.
 
-        With workers configured the calls go to the pool, and a call whose
-        worker raised or died is re-run in-process once.  A call that raises
-        in-process yields its exception as the outcome.
+        Without workers the calls run in-process and an exception propagates.
+        With workers they go to the pool; a call whose worker raised or died
+        is re-run in-process once, and if that raises too the exception is
+        the call's outcome.
         """
-        futures: List = [None] * len(calls)
-        if self.effective_workers() > 1:
-            pool = self._get_pool()
-            try:
-                futures = [pool.submit(fn, *args) for args in calls]
-            except BrokenProcessPool:
-                self._drop_pool(pool)
+        if self.effective_workers() <= 1:
+            return [fn(*args) for args in calls]
+        pool = self._get_pool()
+        try:
+            futures: List = [pool.submit(fn, *args) for args in calls]
+        except RuntimeError:
+            # Broken, or shut down by another thread that found it broken.
+            self._drop_pool(pool)
+            futures = [None] * len(calls)
         outcomes: List[object] = []
         for args, future in zip(calls, futures):
             if future is not None:
@@ -506,8 +513,9 @@ class VerificationService:
                 if isinstance(outcome, Exception):
                     for position, mutant in shard_mutants:
                         for text_index, text in enumerate(texts):
-                            cached[(position, text_index)] = _failed_batch_result(
-                                mutant.design, text, outcome
+                            cached.setdefault(
+                                (position, text_index),
+                                _failed_batch_result(mutant.design, text, outcome),
                             )
                     continue
                 verdicts, fresh, family_stats = outcome
@@ -655,6 +663,19 @@ class VerificationService:
             self._cache.put_many(stored)
 
 
+#: ``ProofResult.engine`` of the verdicts a failed batch leaves behind.
+BATCH_FAILURE_ENGINE = "scheduler"
+
+
+def is_batch_failure(result: ProofResult) -> bool:
+    """Whether ``result`` stands in for a batch that failed, not a proof.
+
+    Such a verdict says nothing about the assertion: durable logs must not
+    commit it, so a resume verifies the assertion again.
+    """
+    return result.engine == BATCH_FAILURE_ENGINE
+
+
 def _failed_batch_result(
     design: Design, assertion: AssertionLike, error: Exception
 ) -> ProofResult:
@@ -664,7 +685,7 @@ def _failed_batch_result(
         assertion=assertion if isinstance(assertion, Assertion) else None,
         design_name=design.name,
         reason=f"verification batch failed: {type(error).__name__}: {error}",
-        engine="scheduler",
+        engine=BATCH_FAILURE_ENGINE,
     )
 
 

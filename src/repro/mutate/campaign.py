@@ -30,7 +30,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
-from ..core.scheduler import VerificationService
+from ..core.scheduler import VerificationService, is_batch_failure
 from ..fpv.result import ProofResult
 from ..hdl.design import Design
 from .operators import Mutant, enumerate_mutants, resolve_operators
@@ -400,11 +400,14 @@ class MutationCampaign:
                 semantic_filter=self._config.semantic_filter,
                 limit=self._config.limit_per_design,
             )
-            records.extend(
-                self._score_design(design, fingerprint, mutants, texts, normalised, existing)
+            scored, settled = self._score_design(
+                design, fingerprint, mutants, texts, normalised, existing
             )
+            records.extend(scored)
             design_stats[design.name] = stats.as_dict()
-            if self._store is not None:
+            # A sweep with failed verification batches stays unmarked, so a
+            # rerun verifies the missing cells again.
+            if self._store is not None and settled:
                 self._store.append_mutation_marker(
                     design.name,
                     fingerprint,
@@ -424,12 +427,14 @@ class MutationCampaign:
         texts: List[str],
         normalised: List[str],
         existing: Dict[Tuple[str, str, int, str], MutationRecord],
-    ) -> List[MutationRecord]:
+    ) -> Tuple[List[MutationRecord], bool]:
         """All records of this design's sweep: cached where possible, else proved.
 
         Returns one record per (mutant, assertion) cell — reruns replay
         already-recorded cells from the log and only the missing cells reach
-        the verification service.
+        the verification service — and whether every cell is settled.  The
+        ``error`` records of failed verification batches are returned but not
+        logged, and leave the sweep unsettled.
         """
         #: (mutant, positions of the texts still missing a record)
         work: List[Tuple[Mutant, List[int]]] = []
@@ -445,7 +450,7 @@ class MutationCampaign:
             if missing:
                 work.append((mutant, missing))
         if not work:
-            return cached
+            return cached, True
 
         if self._config.family_batching:
             # One family job: the golden design and every mutant still owing
@@ -469,24 +474,26 @@ class MutationCampaign:
             verdict_lists = self._service.check_many(jobs)
 
         fresh: List[MutationRecord] = []
+        durable: List[MutationRecord] = []
         for (mutant, missing), verdicts in zip(work, verdict_lists):
             for position, proof in zip(missing, verdicts):
-                fresh.append(
-                    MutationRecord(
-                        design_name=design.name,
-                        design_fingerprint=fingerprint,
-                        category=design.category,
-                        operator=mutant.operator,
-                        site=mutant.site,
-                        description=mutant.description,
-                        mutant_fingerprint=mutant.design.fingerprint,
-                        assertion=normalised[position],
-                        outcome=classify_outcome(proof),
-                        status=proof.status.value,
-                        engine=proof.engine,
-                        complete=proof.complete,
-                    )
+                record = MutationRecord(
+                    design_name=design.name,
+                    design_fingerprint=fingerprint,
+                    category=design.category,
+                    operator=mutant.operator,
+                    site=mutant.site,
+                    description=mutant.description,
+                    mutant_fingerprint=mutant.design.fingerprint,
+                    assertion=normalised[position],
+                    outcome=classify_outcome(proof),
+                    status=proof.status.value,
+                    engine=proof.engine,
+                    complete=proof.complete,
                 )
-        if self._store is not None and fresh:
-            self._store.append_mutation_records(fresh)
-        return cached + fresh
+                fresh.append(record)
+                if not is_batch_failure(proof):
+                    durable.append(record)
+        if self._store is not None and durable:
+            self._store.append_mutation_records(durable)
+        return cached + fresh, len(durable) == len(fresh)

@@ -5,7 +5,13 @@ from __future__ import annotations
 import os
 
 import pytest
-from faults import CRASH_MARKER_ENV, design_batch_crashing_once
+from faults import (
+    CRASH_MARKER_ENV,
+    FAILING_DESIGN_ENV,
+    design_batch_crashing_once,
+    design_batch_failing_for_one_design,
+    family_job_always_failing,
+)
 
 from repro.core import (
     CampaignRuntime,
@@ -14,11 +20,14 @@ from repro.core import (
     PipelineConfig,
     ResumeMismatchError,
     RunStore,
+    SchedulerConfig,
+    VerificationService,
     campaign_config,
     scheduler,
 )
 from repro.fpv import EngineConfig
 from repro.llm import GPT_35, GPT_4O, SimulatedCotsLLM
+from repro.mutate import MutationCampaign, MutationConfig
 
 _FAST_ENGINE = EngineConfig(
     max_states=1024,
@@ -51,6 +60,11 @@ def _matrix_signature(matrix: EvaluationMatrix):
                 for evaluation in result.designs
             ]
     return signature
+
+
+two_cores = pytest.mark.skipif(
+    (os.cpu_count() or 1) < 2, reason="the worker pool needs two cores"
+)
 
 
 @pytest.fixture(scope="module")
@@ -111,8 +125,7 @@ class TestStreaming:
         assert _matrix_signature(matrix) == _matrix_signature(reference_matrix)
         assert len(store.completed_cells()) == 2 * len(campaign_designs)
 
-
-    @pytest.mark.skipif((os.cpu_count() or 1) < 2, reason="the worker pool needs two cores")
+    @two_cores
     def test_crashed_worker_gives_the_clean_matrix(
         self, generators, campaign_designs, icl_examples, reference_matrix, tmp_path,
         monkeypatch,
@@ -128,6 +141,75 @@ class TestStreaming:
             )
         assert marker.exists()
         assert _matrix_signature(matrix) == _matrix_signature(reference_matrix)
+
+
+class TestFailedBatches:
+    """A batch that fails in a worker and again in-process is never committed."""
+
+    @two_cores
+    def test_failed_cells_stay_uncommitted_and_a_resume_fills_them(
+        self, tmp_path, knowledge, campaign_designs, icl_examples, reference_matrix,
+        monkeypatch,
+    ):
+        run_dir = tmp_path / "run"
+        config = PipelineConfig(engine=_FAST_ENGINE, workers=2)
+        failing = campaign_designs[0].name
+        monkeypatch.setenv(FAILING_DESIGN_ENV, failing)
+        monkeypatch.setattr(
+            scheduler, "_check_design_batch", design_batch_failing_for_one_design
+        )
+        store = RunStore(run_dir)
+        with CampaignRuntime(config=config, store=store) as runtime:
+            runtime.run_campaign(
+                [SimulatedCotsLLM(GPT_4O, knowledge), SimulatedCotsLLM(GPT_35, knowledge)],
+                (1,),
+                campaign_designs,
+                icl_examples,
+            )
+        committed = {design for _, _, design in store.completed_cells()}
+        assert committed == {design.name for design in campaign_designs} - {failing}
+        assert len(store.completed_cells()) == 2 * (len(campaign_designs) - 1)
+
+        monkeypatch.undo()
+        resumed_store = RunStore(run_dir)
+        with CampaignRuntime(config=config, store=resumed_store) as runtime:
+            matrix = runtime.run_campaign(
+                [SimulatedCotsLLM(GPT_4O, knowledge), SimulatedCotsLLM(GPT_35, knowledge)],
+                (1,),
+                campaign_designs,
+                icl_examples,
+            )
+        assert _matrix_signature(matrix) == _matrix_signature(reference_matrix)
+        assert len(resumed_store.completed_cells()) == 2 * len(campaign_designs)
+
+    @two_cores
+    def test_failed_mutant_sweep_is_not_logged_and_a_rerun_fills_it(
+        self, tmp_path, corpus, monkeypatch
+    ):
+        design = corpus.design("counter")
+        assertions = {design.name: ["(count <= 15);", "(count != 9);"]}
+        mutation = MutationConfig(limit_per_design=4)
+        scheduler_config = SchedulerConfig(engine=_FAST_ENGINE, workers=2)
+
+        def sweep(store):
+            with VerificationService(
+                scheduler_config, cache=store.verdict_cache()
+            ) as service:
+                return MutationCampaign(service, store, mutation).run([design], assertions)
+
+        reference = sweep(RunStore(tmp_path / "clean"))
+        monkeypatch.setattr(scheduler, "_check_family_job", family_job_always_failing)
+        failed = sweep(RunStore(tmp_path / "run"))
+        assert failed.records and all(record.outcome == "error" for record in failed.records)
+        assert RunStore(tmp_path / "run").load_mutation_log() == ([], {})
+
+        monkeypatch.undo()
+        rerun = sweep(RunStore(tmp_path / "run"))
+        assert {r.key: r.outcome for r in rerun.records} == {
+            r.key: r.outcome for r in reference.records
+        }
+        records, markers = RunStore(tmp_path / "run").load_mutation_log()
+        assert len(records) == len(rerun.records) and design.name in markers
 
 
 class _InterruptingStore(RunStore):

@@ -14,7 +14,7 @@ from faults import (
 )
 
 from repro.core import SchedulerConfig, VerdictCache, VerificationService, scheduler
-from repro.core.scheduler import _design_key
+from repro.core.scheduler import _design_key, is_batch_failure
 from repro.fpv import EngineConfig, FormalEngine, ProofStatus
 from repro.fpv.result import ProofResult
 from repro.hdl import Design
@@ -205,12 +205,10 @@ class TestWorkerFailures:
         assert marker.exists()
         assert got == expected
 
-    @pytest.mark.parametrize("workers", [1, 2])
-    def test_batch_failing_twice_gives_error_verdicts(self, small_jobs, monkeypatch, workers):
+    @two_cores
+    def test_batch_failing_twice_gives_error_verdicts(self, small_jobs, monkeypatch):
         monkeypatch.setattr(scheduler, "_check_design_batch", design_batch_always_failing)
-        with VerificationService(
-            SchedulerConfig(engine=_FAST_ENGINE, workers=workers)
-        ) as service:
+        with VerificationService(SchedulerConfig(engine=_FAST_ENGINE, workers=2)) as service:
             results = service.check_many(small_jobs)
             # Failures are not cached: a later run tries again.
             assert service.cache.stats()["entries"] == 0
@@ -218,5 +216,13 @@ class TestWorkerFailures:
             assert len(verdicts) == len(assertions)
             for verdict in verdicts:
                 assert verdict.status is ProofStatus.ERROR
+                assert is_batch_failure(verdict)
                 assert verdict.design_name == design.name
                 assert "injected batch failure" in verdict.reason
+
+    def test_failing_batch_raises_without_workers(self, small_jobs, monkeypatch):
+        """In-process dispatch has nothing to retry: the exception propagates."""
+        monkeypatch.setattr(scheduler, "_check_design_batch", design_batch_always_failing)
+        with VerificationService(SchedulerConfig(engine=_FAST_ENGINE, workers=1)) as service:
+            with pytest.raises(RuntimeError, match="injected batch failure"):
+                service.check_many(small_jobs)

@@ -2,10 +2,21 @@
 
 from __future__ import annotations
 
+import os
+
 import pytest
 
 from repro.cli import main
-from repro.core import RunStore
+from repro.core import RunStore, scheduler
+
+
+def _failing_batch(*args):
+    raise RuntimeError("injected batch failure")
+
+
+two_cores = pytest.mark.skipif(
+    (os.cpu_count() or 1) < 2, reason="the worker pool needs two cores"
+)
 
 
 @pytest.fixture()
@@ -75,6 +86,23 @@ class TestResume:
         assert "Resuming" in out
         assert "already committed" in out
 
+    @two_cores
+    def test_failed_batches_leave_the_run_incomplete_until_resumed(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        run_dir = tmp_path / "run"
+        monkeypatch.setattr(scheduler, "_check_design_batch", _failing_batch)
+        assert main(["run", "--smoke", "--workers", "2", "--run-dir", str(run_dir)]) == 1
+        assert "status: incomplete" in capsys.readouterr().out
+        store = RunStore(run_dir)
+        assert store.read_manifest()["status"] == "running"
+        assert not store.completed_cells()
+
+        monkeypatch.undo()
+        assert main(["resume", "--workers", "2", "--run-dir", str(run_dir)]) == 0
+        assert "status: complete" in capsys.readouterr().out
+        assert RunStore(run_dir).read_manifest()["status"] == "complete"
+
     def test_resume_without_manifest_fails(self, tmp_path, capsys):
         assert main(["resume", "--run-dir", str(tmp_path / "empty")]) == 3
         assert "no manifest" in capsys.readouterr().err
@@ -132,6 +160,26 @@ class TestMutate:
         first_table = first_out[first_out.index("Mutation kill rate"):]
         resumed_table = out[out.index("Mutation kill rate"):]
         assert first_table.splitlines()[:10] == resumed_table.splitlines()[:10]
+
+    @two_cores
+    def test_failed_mutant_batches_leave_the_run_incomplete_until_rerun(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        command = ["mutate", "--smoke", "--workers", "2", "--run-dir",
+                   str(tmp_path / "run"), "--max-mutants", "6"]
+        monkeypatch.setattr(scheduler, "_check_family_job", _failing_batch)
+        assert main(command) == 1
+        out = capsys.readouterr().out
+        assert "status: incomplete" in out and "for 0 cells and" in out
+        store = RunStore(tmp_path / "run")
+        assert store.read_manifest()["status"] == "running"
+        assert store.load_mutation_log() == ([], {})
+
+        monkeypatch.undo()
+        assert main(command) == 0
+        assert "status: complete" in capsys.readouterr().out
+        records, markers = RunStore(tmp_path / "run").load_mutation_log()
+        assert records and markers
 
     def test_report_mutation_renders_the_log(self, mutate_run, capsys):
         run_dir, _ = mutate_run
