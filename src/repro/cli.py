@@ -151,10 +151,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="disable family-batched verification (reference per-mutant path; "
              "verdict outcomes are identical, only slower)",
     )
-    mutate_parser.add_argument(
-        "--no-witness-screen", action="store_true",
-        help="disable the difference-witness kill pre-screen",
-    )
 
     resume_parser = sub.add_parser(
         "resume",
@@ -335,7 +331,6 @@ def _print_run_stats(run_stats: dict) -> None:
             f"{family.get('family_multilimb_members', 0)} multilimb], "
             f"{family.get('fallback_members', 0)} fallback), "
             f"{family.get('memo_reused', 0)} memo-reused verdicts, "
-            f"{family.get('screen_kills', 0)} witness-screen kills, "
             f"{family.get('delta_escape_states', 0)} delta escape states"
         )
     lowering = run_stats.get("lowering", {})
@@ -409,7 +404,6 @@ def _mutate(args: argparse.Namespace) -> int:
         limit_per_design=max(1, limit) if limit is not None else None,
         semantic_filter=not args.no_semantic_filter,
         family_batching=not args.no_family,
-        witness_screen=not args.no_witness_screen,
     )
     try:
         # Fail fast on unknown operator names (the library is the single

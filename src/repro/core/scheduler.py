@@ -197,11 +197,9 @@ def _check_design_batch(
 def _check_family_job(
     golden: Design,
     mutant_designs: Sequence[Design],
-    witnesses: Sequence,
     assertions: Sequence[AssertionLike],
     config: EngineConfig,
     preloads: Dict,
-    witness_screen: bool,
 ) -> Tuple[List[List[ProofResult]], Dict, Dict[str, int]]:
     """Check one whole mutant family (runs in a worker process or inline).
 
@@ -222,8 +220,6 @@ def _check_family_job(
         assertions,
         config,
         cache,
-        witnesses=witnesses,
-        witness_screen=witness_screen,
         stats=stats,
     )
     fresh = {
@@ -409,9 +405,7 @@ class VerificationService:
             for design_key, job_slots in zip(design_keys, slots)
         ]
 
-    def check_families(
-        self, jobs: Sequence[FamilyJob], witness_screen: bool = True
-    ) -> List[List[List[ProofResult]]]:
+    def check_families(self, jobs: Sequence[FamilyJob]) -> List[List[List[ProofResult]]]:
         """Check mutant families, one family per worker task.
 
         Returns, per job, one verdict list per mutant aligned with the job's
@@ -493,11 +487,9 @@ class VerificationService:
                 return (
                     golden,
                     [mutant.design for _, mutant in shard_mutants],
-                    [getattr(mutant, "witness", None) for _, mutant in shard_mutants],
                     texts,
                     engine_config,
                     preloads,
-                    witness_screen,
                 )
 
             outcomes = self._run_batches(

@@ -350,28 +350,9 @@ class FormalEngine:
         exhaustive: List[_Obligation] = []
         by_simulation: List[Tuple[int, Assertion]] = []
 
-        bound: List[Tuple[int, Assertion]] = []
-        observed: set = set()
-        for index, item in enumerate(items):
-            assertion, parse_error = self._to_assertion(item)
-            if parse_error is not None:
-                results[index] = error_result(parse_error, self._design.name)
-                continue
-            report = bind(assertion, self._design)
-            if not report.ok:
-                results[index] = error_result(
-                    "; ".join(report.messages), self._design.name, assertion
-                )
-                continue
-            observed |= assertion.signals()
-            bound.append((index, assertion))
-
-        if bound:
-            # Project cached step environments onto what this batch reads
-            # *before* the first reachability walk: BFS and the scalar sweep
-            # then memoise a handful of values per transition instead of a
-            # full environment copy.
-            self._system.observe(observed)
+        bound, failures = self.parse_and_bind(items)
+        for index, assertion, message in failures:
+            results[index] = error_result(message, self._design.name, assertion)
 
         for index, assertion in bound:
             try:
@@ -407,15 +388,39 @@ class FormalEngine:
 
     # -- parsing --------------------------------------------------------------------
 
-    def _to_assertion(
-        self, assertion_or_text: Union[str, Assertion]
-    ) -> Tuple[Optional[Assertion], Optional[str]]:
-        if isinstance(assertion_or_text, Assertion):
-            return assertion_or_text, None
-        try:
-            return parse_assertion(assertion_or_text), None
-        except SvaError as exc:
-            return None, f"syntax error: {exc}"
+    def parse_and_bind(
+        self, items: Sequence[Union[str, Assertion]]
+    ) -> Tuple[List[Tuple[int, Assertion]], List[Tuple[int, Optional[Assertion], str]]]:
+        """Parse and bind a batch against this design.
+
+        Returns ``(bound, failures)``: the ``(index, assertion)`` pairs ready
+        to check, and ``(index, assertion or None, message)`` for every item
+        that failed to parse or bind.  The transition system's observation
+        set is narrowed to the bound assertions' signals *before* the first
+        reachability walk, so BFS and the scalar sweep memoise a handful of
+        values per transition instead of a full environment copy.
+        """
+        bound: List[Tuple[int, Assertion]] = []
+        failures: List[Tuple[int, Optional[Assertion], str]] = []
+        observed: set = set()
+        for index, item in enumerate(items):
+            if isinstance(item, Assertion):
+                assertion = item
+            else:
+                try:
+                    assertion = parse_assertion(item)
+                except SvaError as exc:
+                    failures.append((index, None, f"syntax error: {exc}"))
+                    continue
+            report = bind(assertion, self._design)
+            if not report.ok:
+                failures.append((index, assertion, "; ".join(report.messages)))
+                continue
+            observed |= assertion.signals()
+            bound.append((index, assertion))
+        if bound:
+            self._system.observe(observed)
+        return bound, failures
 
     # -- strategy selection ------------------------------------------------------------
 
@@ -425,12 +430,28 @@ class FormalEngine:
             assertion = parse_assertion(assertion)
         return self._can_check_exhaustively(assertion)
 
-    def _can_check_exhaustively(self, assertion: Assertion) -> bool:
-        if not self._system.can_enumerate_inputs:
+    def _enumerable(self) -> bool:
+        """Whether explicit-state search is ever attempted on this design."""
+        return (
+            self._system.can_enumerate_inputs
+            and self._system.state_bits <= self._config.max_state_bits
+        )
+
+    def _can_check_exhaustively(
+        self,
+        assertion: Assertion,
+        reachability: Optional[ReachabilityResult] = None,
+    ) -> bool:
+        """The exhaustive-budget gate.
+
+        ``reachability`` defaults to this design's own reachable set; the
+        family verifier passes a mutant's delta-walk result instead (a
+        mutant shares the golden design's input space and state layout).
+        """
+        if not self._enumerable():
             return False
-        if self._system.state_bits > self._config.max_state_bits:
-            return False
-        reachability = self._reachable()
+        if reachability is None:
+            reachability = self._reachable()
         if not reachability.complete:
             return False
         # Rough cost estimate: every reachable state starts one evaluation
@@ -476,11 +497,7 @@ class FormalEngine:
         process before slicing a family across workers, so the shards all
         preload one BFS instead of each re-running it.
         """
-        if not self._system.can_enumerate_inputs:
-            return None
-        if self._system.state_bits > self._config.max_state_bits:
-            return None
-        return self._reachable()
+        return self._reachable() if self._enumerable() else None
 
     def _reachable(self) -> ReachabilityResult:
         if self._reachability is None:
@@ -577,14 +594,14 @@ class FormalEngine:
             terms.extend(obligation.term_exprs())
         table.ensure_terms(terms)
         for obligation in obligations:
-            if obligation.depth == 0:
-                self._vec_depth0(obligation, table)
-            else:
-                self._vec_deep(obligation, table)
+            self._run_table_obligation(obligation, table)
 
-    def _witness_names(self):
-        observed = self._system.observed_signals
-        return observed if observed is not None else None
+    def _run_table_obligation(self, obligation: _Obligation, table) -> None:
+        """Decide one obligation on a dense table (depth-0 or deep)."""
+        if obligation.depth == 0:
+            self._vec_depth0(obligation, table)
+        else:
+            self._vec_deep(obligation, table)
 
     def _vec_depth0(self, obligation: _Obligation, table) -> None:
         """Array-reduction fast path for single-cycle obligations.
@@ -655,11 +672,11 @@ class FormalEngine:
         failed = next(
             text for expr, text in cons_pairs if not bool(table.truth(expr)[s, i])
         )
-        cycles = table.env_rows([pair], self._witness_names())
+        cycles = table.env_rows([pair], self._system.observed_signals)
         obligation.witness_pairs = [pair]
         obligation.refute((cycles, failed))
 
-    def _vec_deep(self, obligation: _Obligation, table, plan=None) -> None:
+    def _vec_deep(self, obligation: _Obligation, table) -> None:
         """Table-driven path search for multi-cycle obligations.
 
         A closed-form array pass over the truth matrices first decides
@@ -670,12 +687,9 @@ class FormalEngine:
         cutoff — run the recursive sweep, which terminates at the first
         refutation anyway.  Verdicts, witnesses, budget exhaustion, and the
         triggered flag are identical to running the recursion everywhere.
-        A caller that already computed the plan (the family verifier's
-        witness pre-screen) passes it in to avoid a second pass.
         """
         limit = self._config.max_path_evaluations
-        if plan is None:
-            plan = _deep_plan(obligation, table, limit)
+        plan = _deep_plan(obligation, table, limit)
         if not plan.refutable:
             if plan.charges > limit:
                 obligation.budget_used = limit + 1
@@ -797,7 +811,7 @@ class FormalEngine:
                 and not obligation.decided
                 and not obligation.budget_exhausted
             ):
-                cycles = table.env_rows(born.pairs, self._witness_names())
+                cycles = table.env_rows(born.pairs, self._system.observed_signals)
                 obligation.witness_pairs = list(born.pairs)
                 obligation.refute((cycles, born.term))
 

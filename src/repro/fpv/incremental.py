@@ -7,33 +7,32 @@ are lowered into one :class:`~repro.sim.vector.FamilyKernel`, and the whole
 ``(mutants × reachable states × input grid)`` space is advanced in a handful
 of batched kernel calls instead of one full engine run per mutant.
 
-On top of the shared sweep:
+Everything else is the engine's own machinery: parse/bind, the exhaustive
+budget gate and the obligation runners come from
+:class:`~repro.fpv.engine.FormalEngine`, each mutant's obligations run on an
+:class:`~repro.fpv.table.ObligationTable` stepped through the family kernel
+with that mutant's id, and both BFS walks are
+:func:`~repro.fpv.transition.walk`.  On top of the shared sweep:
 
 * **Delta reachability** — each mutant's breadth-first reachable-state walk
-  is replayed over the family's precomputed next-state tables, seeded from
-  the golden reachable set: only states whose outgoing transitions actually
-  changed (or that escape the golden set entirely) cost new kernel work.
-  Order, transition counts, and truncation points are identical to the
-  mutant's own scalar BFS, and results land in the shared
+  reads its outgoing rows from the family's precomputed next-state tables,
+  seeded from the golden reachable set: only states that escape the golden
+  set cost new kernel work.  Order, transition counts, and truncation points
+  are identical to the mutant's own BFS, and results land in the shared
   :class:`~repro.fpv.engine.ReachabilityCache` under each member's own key.
 * **Obligation memoisation** — the proposition truth matrices are built once
   per family; a mutant whose matrices (and next-state table) are identical
   to the golden design's inherits the golden obligation verdict outright,
   re-materialising only the witness environments.
-* **Witness pre-screen** — a mutant carrying a simulation-method
-  :class:`~repro.mutate.semantic.DifferenceWitness` replays that witness
-  trace once (batched through the family kernel) and harvests cheap kills:
-  a trace violation on a mutant whose proof would be complete is a genuine
-  counterexample, so the canonical path search can be skipped.  Outcomes
-  (killed/survived/timeout/error), statuses, and completeness are identical
-  to the per-mutant path; only the CEX representation and the ``engine``
-  field reveal the shortcut.  Pass ``witness_screen=False`` for bit-identity
-  of the full :class:`~repro.fpv.result.ProofResult` including CEX cycles.
 
+Every :class:`~repro.fpv.result.ProofResult` field, counterexample cycles
+included, equals what ``FormalEngine(mutant).check_batch`` returns.
 Mutants that cannot ride the family kernel — structure mismatches,
-un-lowerable variant expressions, a non-vectorized backend, or an incomplete
-golden reachable set — transparently fall back to the ordinary per-mutant
-:class:`~repro.fpv.engine.FormalEngine`, whose verdicts are the reference.
+un-lowerable variant expressions, or a non-vectorized backend — are checked
+by that per-mutant engine directly, and so are assertions the family path
+leaves undecided (an incomplete golden reachable set, an exhausted budget,
+a term the family kernel cannot lower): those members still get their
+falsification traces batched through the family kernel.
 """
 
 from __future__ import annotations
@@ -47,23 +46,20 @@ from ..hdl.errors import HdlError
 from ..sim.compile import VECTORIZED, default_backend
 from ..sim.eval import EvalError
 from ..sim.vector import PLAN_MULTILIMB, FamilyKernel, FamilyLowering, lower_family
-from ..sva.checker import bind
 from ..sva.model import Assertion
 from .engine import (
     EngineConfig,
     FormalEngine,
     ReachabilityCache,
-    _deep_plan,
     _Obligation,
     assemble_exhaustive_result,
     error_result,
     fallback_stimuli,
     reachability_key,
 )
-from .result import Counterexample, ProofResult, ProofStatus
+from .result import ProofResult
 from .table import ObligationTable, PackedStateIndex
-from .trace_check import TraceChecker
-from .transition import ReachabilityResult, TransitionSystem
+from .transition import ReachabilityResult, TransitionSystem, walk
 
 __all__ = ["FamilyStats", "check_family"]
 
@@ -89,20 +85,10 @@ class FamilyStats:
         self.family_multilimb_members = 0
         self.fallback_members = 0
         self.memo_reused = 0
-        self.screen_kills = 0
         self.delta_escape_states = 0
 
     def as_dict(self) -> Dict[str, int]:
-        return {
-            "members": self.members,
-            "family_members": self.family_members,
-            "family_soa_members": self.family_soa_members,
-            "family_multilimb_members": self.family_multilimb_members,
-            "fallback_members": self.fallback_members,
-            "memo_reused": self.memo_reused,
-            "screen_kills": self.screen_kills,
-            "delta_escape_states": self.delta_escape_states,
-        }
+        return dict(vars(self))
 
 
 # ---------------------------------------------------------------------------
@@ -121,21 +107,30 @@ class _FamilySweep:
     ):
         self.system = system
         self.kernel = kernel
-        self.states = list(reachability.states)
-        self.num_states = len(self.states)
+        self.num_states = reachability.count
         grid = system.input_grid
         self.num_inputs = len(grid)
         self.packed_states = np.asarray(
-            [kernel.pack_state(state) for state in self.states], dtype=np.int64
+            [kernel.pack_state(state) for state in reachability.states],
+            dtype=np.int64,
         )
         self.packed_grid = kernel.pack_input_grid(grid)
         self._index = PackedStateIndex(
             self.packed_states, sum(kernel.state_widths)
         )
 
-    def golden_index(self, packed: int) -> int:
-        """Golden reachable index of a packed state, or -1."""
-        return self._index.index(packed)
+    def golden_rows(self, packed: np.ndarray) -> np.ndarray:
+        """Golden reachable index of each packed state, or -1."""
+        return self._index.indices(packed)
+
+    def member_step(self, member: int):
+        """``step_packed`` of one family member (its id on every lane)."""
+
+        def step(packed_states: np.ndarray, packed_inputs: np.ndarray):
+            members = np.full(len(packed_states), member, dtype=np.int64)
+            return self.kernel.family_step_packed(members, packed_states, packed_inputs)
+
+        return step
 
     def sweep(
         self, members: Sequence[int], exprs: Sequence
@@ -187,10 +182,9 @@ class _FamilySweep:
         count = len(packed_states)
         num_inputs = self.num_inputs
         lanes = count * num_inputs
-        member_col = np.full(lanes, member, dtype=np.int64)
         states_rep = np.repeat(np.asarray(packed_states, dtype=np.int64), num_inputs)
         inputs_tiled = np.tile(self.packed_grid, count)
-        env, nxt = self.kernel.family_step_packed(member_col, states_rep, inputs_tiled)
+        env, nxt = self.member_step(member)(states_rep, inputs_tiled)
         truths: Dict[object, np.ndarray] = {}
         for expr in exprs:
             values = self.kernel.bool_lanes(self.kernel.exprs.compile(expr)(env), lanes)
@@ -232,75 +226,46 @@ def _delta_reachability(
     """Mutant BFS replayed over precomputed tables, seeded by the golden set.
 
     States inside the golden reachable set read their outgoing row straight
-    from the family sweep; escapes batch one family-kernel call per BFS wave.
-    The discovery order, transition counts, and truncation points are
-    identical to running the scalar BFS on the mutant alone.
+    from the family sweep; escapes batch one family-kernel call per BFS
+    chunk.  :func:`walk` makes the discovery order, transition counts, and
+    truncation points identical to running the BFS on the mutant alone.
     """
     kernel = sweep.kernel
-    num_inputs = sweep.num_inputs
-    initial = kernel.pack_state(sweep.system.initial_state())
-    visited = {initial}
-    order: List[int] = [initial]
-    frontier: List[int] = [initial]
     extra_rows: Dict[int, np.ndarray] = {}
-    transitions = 0
 
-    def result(complete: bool, exhausted: bool, count: int) -> _MemberReachability:
-        states = [kernel.unpack_state(packed) for packed in order]
-        reach = ReachabilityResult(
-            states=states,
-            complete=complete,
-            frontier_exhausted=exhausted,
-            transitions_explored=count,
-        )
-        golden_packed = sweep.packed_states
-        matches = (
-            complete
-            and not extra_rows
-            and len(order) == len(golden_packed)
-            and order == golden_packed.tolist()
-        )
-        return _MemberReachability(reach, order, extra_rows, matches)
+    def successors(chunk: List[int]) -> np.ndarray:
+        packed = np.asarray(chunk, dtype=np.int64)
+        rows = sweep.golden_rows(packed)
+        inside = rows >= 0
+        flat = np.empty((len(chunk), sweep.num_inputs), dtype=np.int64)
+        flat[inside] = next_packed[rows[inside]]
+        escapes = packed[~inside].tolist()
+        if escapes:
+            escape_rows, _ = sweep.member_rows(member, escapes, ())
+            flat[~inside] = escape_rows
+            extra_rows.update(zip(escapes, escape_rows))
+        return flat.ravel()
 
-    while frontier:
-        next_frontier: List[int] = []
-        unknown = [
-            packed
-            for packed in frontier
-            if sweep.golden_index(packed) < 0 and packed not in extra_rows
-        ]
-        if unknown:
-            rows, _ = sweep.member_rows(member, unknown, ())
-            for position, packed in enumerate(unknown):
-                extra_rows[packed] = rows[position]
-        for packed in frontier:
-            golden_idx = sweep.golden_index(packed)
-            row = next_packed[golden_idx] if golden_idx >= 0 else extra_rows[packed]
-            remaining = max_transitions - transitions
-            truncated = remaining < num_inputs
-            take = row[:remaining] if truncated else row
-            new_mask = np.fromiter(
-                (value not in visited for value in take.tolist()),
-                dtype=bool,
-                count=len(take),
-            )
-            if new_mask.any():
-                positions = np.nonzero(new_mask)[0]
-                candidates = take[positions]
-                _, first_index = np.unique(candidates, return_index=True)
-                for k in np.sort(first_index).tolist():
-                    value = int(candidates[k])
-                    visited.add(value)
-                    order.append(value)
-                    next_frontier.append(value)
-                    if len(order) >= max_states:
-                        exact = transitions + int(positions[k]) + 1
-                        return result(False, False, exact)
-            if truncated:
-                return result(False, False, max_transitions + 1)
-            transitions += num_inputs
-        frontier = next_frontier
-    return result(True, True, transitions)
+    order, complete, transitions = walk(
+        kernel.pack_state(sweep.system.initial_state()),
+        successors,
+        sweep.num_inputs,
+        sum(kernel.state_widths),
+        max_states,
+        max_transitions,
+    )
+    result = ReachabilityResult(
+        states=[kernel.unpack_state(packed) for packed in order],
+        complete=complete,
+        frontier_exhausted=complete,
+        transitions_explored=transitions,
+    )
+    matches = (
+        complete
+        and not extra_rows
+        and order == sweep.packed_states.tolist()
+    )
+    return _MemberReachability(result, order, extra_rows, matches)
 
 
 # ---------------------------------------------------------------------------
@@ -309,115 +274,57 @@ def _delta_reachability(
 
 
 class _MemberTable(ObligationTable):
-    """Obligation-table view of one mutant over the family sweep's data.
+    """Obligation table of one family member (member 0 is the golden design).
 
-    Rows are indexed in the *member's* reachability order; states inside the
-    golden set gather their precomputed rows, escape states carry the rows
-    computed during the delta walk.  Witness environments re-step the exact
-    lanes through the family kernel with this member's id.
+    Rows are the member's reachable states in its own reachability order;
+    every lane is stepped through the family kernel with this member's id.
+    :meth:`adopt` fills the next-state table and truth matrices from the
+    family sweep: states inside the golden set gather their precomputed
+    rows, escape states carry the rows computed during the delta walk.
     """
 
-    def __init__(
+    def __init__(self, sweep: _FamilySweep, member: int, order_packed) -> None:
+        super().__init__(
+            sweep.kernel,
+            sweep.member_step(member),
+            np.asarray(order_packed, dtype=np.int64),
+            sweep.packed_grid,
+            sweep.system.model.signals,
+        )
+        self._sweep = sweep
+        self._member = member
+
+    def adopt(
         self,
-        sweep: _FamilySweep,
-        member: int,
-        reach: _MemberReachability,
+        extra_rows: Dict[int, np.ndarray],
         next_packed: np.ndarray,
         truths: Dict[Tuple[int, object], np.ndarray],
         exprs: Sequence,
-    ):
-        super().__init__()
-        self._sweep = sweep
-        self._member = member
-        self.states = list(reach.result.states)
-        self.num_states = len(self.states)
-        self.num_inputs = sweep.num_inputs
-        order = reach.order_packed
-        member_index = {packed: idx for idx, packed in enumerate(order)}
-        golden_rows = [sweep.golden_index(packed) for packed in order]
-        self._packed_order = order
-
-        extra_truths: Dict[int, Dict[object, np.ndarray]] = {}
-        escapes = [packed for packed, row in zip(order, golden_rows) if row < 0]
-        if escapes and exprs:
-            _, truth_rows = sweep.member_rows(member, escapes, exprs)
-            for position, packed in enumerate(escapes):
-                extra_truths[packed] = {
-                    expr: truth_rows[expr][position] for expr in exprs
-                }
-
-        # Next-state index matrix in member coordinates.
-        next_index = np.empty((self.num_states, self.num_inputs), dtype=np.int64)
-        for idx, (packed, golden_row) in enumerate(zip(order, golden_rows)):
-            row = next_packed[golden_row] if golden_row >= 0 else reach.extra_rows[packed]
-            next_index[idx] = np.fromiter(
-                (member_index[int(value)] for value in row.tolist()),
-                dtype=np.int64,
-                count=self.num_inputs,
-            )
-        self._next_index = next_index
-
+    ) -> "_MemberTable":
+        golden_rows = self._sweep.golden_rows(self._packed_states)
+        inside = golden_rows >= 0
+        gather = golden_rows[inside]
+        escapes = self._packed_states[~inside].tolist()
+        rows = np.empty(self.shape, dtype=np.int64)
+        rows[inside] = next_packed[gather]
+        escape_truths: Dict[object, np.ndarray] = {}
+        if escapes:
+            rows[~inside] = np.stack([extra_rows[packed] for packed in escapes])
+            if exprs:
+                _, escape_truths = self._sweep.member_rows(self._member, escapes, exprs)
+        self._set_next_packed(rows)
         for expr in exprs:
-            matrix = np.empty((self.num_states, self.num_inputs), dtype=bool)
-            family_matrix = truths[(member, expr)]
-            for idx, (packed, golden_row) in enumerate(zip(order, golden_rows)):
-                if golden_row >= 0:
-                    matrix[idx] = family_matrix[golden_row]
-                else:
-                    matrix[idx] = extra_truths[packed][expr]
+            matrix = np.empty(self.shape, dtype=bool)
+            matrix[inside] = truths[(self._member, expr)][gather]
+            if escapes:
+                matrix[~inside] = escape_truths[expr]
             self._truth[expr] = matrix
-
-    def ensure_terms(self, exprs) -> None:
-        missing = [expr for expr in exprs if expr not in self._truth]
-        if missing:
-            raise KeyError(f"family table is missing terms: {missing}")
-
-    def can_lower(self, expr) -> bool:
-        try:
-            self._sweep.kernel.exprs.compile(expr)
-        except Exception:
-            return False
-        return True
-
-    def env_rows(self, pairs, names=None):
-        lanes = len(pairs)
-        states = np.asarray(
-            [self._packed_order[s] for s, _ in pairs], dtype=np.int64
-        )
-        inputs = np.asarray(
-            [int(self._sweep.packed_grid[i]) for _, i in pairs], dtype=np.int64
-        )
-        members = np.full(lanes, self._member, dtype=np.int64)
-        env, _ = self._sweep.kernel.family_step_packed(members, states, inputs)
-        keys = (
-            list(names)
-            if names is not None
-            else list(self._sweep.system.model.signals)
-        )
-        return [self._sweep.kernel.env_row(env, lane, keys) for lane in range(lanes)]
+        return self
 
 
 # ---------------------------------------------------------------------------
 # The family verifier
 # ---------------------------------------------------------------------------
-
-
-def _member_exhaustive(
-    assertion: Assertion,
-    reach: ReachabilityResult,
-    system: TransitionSystem,
-    config: EngineConfig,
-) -> bool:
-    """Mirror of :meth:`FormalEngine._can_check_exhaustively` for one member."""
-    if not system.can_enumerate_inputs:
-        return False
-    if system.state_bits > config.max_state_bits:
-        return False
-    if not reach.complete:
-        return False
-    depth = assertion.temporal_depth + 1
-    cost = reach.count * (system.input_space_size ** min(depth, 2))
-    return cost <= config.max_path_evaluations * 4
 
 
 def check_family(
@@ -426,19 +333,14 @@ def check_family(
     assertions: Sequence,
     config: Optional[EngineConfig] = None,
     reachability_cache: Optional[ReachabilityCache] = None,
-    witnesses: Optional[Sequence] = None,
-    witness_screen: bool = True,
     stats: Optional[FamilyStats] = None,
 ) -> List[List[ProofResult]]:
     """Check ``assertions`` against every mutant of one design family.
 
     Returns one verdict list per mutant, each aligned with ``assertions``.
-    Every verdict's outcome classification (and, with ``witness_screen``
-    off, the entire :class:`ProofResult` including counterexample cycles) is
-    bit-identical to ``FormalEngine(mutant, config).check_batch(assertions)``.
-
-    ``witnesses`` optionally carries each mutant's
-    :class:`~repro.mutate.semantic.DifferenceWitness` for the pre-screen.
+    Every verdict — the entire :class:`ProofResult`, counterexample cycles
+    included — is bit-identical to
+    ``FormalEngine(mutant, config).check_batch(assertions)``.
     """
     config = config or EngineConfig()
     mutants = list(mutants)
@@ -447,8 +349,6 @@ def check_family(
     stats.members += len(mutants)
     if not mutants:
         return []
-    if witnesses is None:
-        witnesses = [None] * len(mutants)
 
     backend = config.backend or default_backend()
     lowering: Optional[FamilyLowering] = None
@@ -485,8 +385,6 @@ def check_family(
                 reachability_cache,
                 lowering,
                 family_positions,
-                witnesses,
-                witness_screen,
                 results,
                 stats,
             )
@@ -504,10 +402,6 @@ def check_family(
             stats.family_multilimb_members += family_count
         else:
             stats.family_soa_members += family_count
-
-    for position in range(len(mutants)):
-        if results[position] is None:  # pragma: no cover - defensive
-            run_fallback(position)
     return results  # type: ignore[return-value]
 
 
@@ -519,71 +413,83 @@ def _check_family_fast(
     reachability_cache: Optional[ReachabilityCache],
     lowering: FamilyLowering,
     family_positions: List[int],
-    witnesses: Sequence,
-    witness_screen: bool,
     results: List[Optional[List[ProofResult]]],
     stats: FamilyStats,
 ) -> None:
     golden_engine = FormalEngine(golden, config, reachability_cache)
-    system = golden_engine._system
-    limit = config.max_path_evaluations
 
     # -- parse / bind once for the whole family --------------------------------
     member_results: Dict[int, List[Optional[ProofResult]]] = {
         position: [None] * len(items) for position in family_positions
     }
-    bound: List[Tuple[int, Assertion]] = []
-    observed: set = set()
-    for index, item in enumerate(items):
-        assertion, parse_error = golden_engine._to_assertion(item)
-        message = None
-        if parse_error is not None:
-            message = parse_error
-        else:
-            report = bind(assertion, golden)
-            if not report.ok:
-                message = "; ".join(report.messages)
-        if message is not None:
-            for position in family_positions:
-                member_results[position][index] = error_result(
-                    message, mutants[position].name, assertion
-                )
-            continue
-        observed |= assertion.signals()
-        bound.append((index, assertion))
-    if bound:
-        system.observe(observed)
-
-    enumerable = (
-        system.can_enumerate_inputs
-        and system.state_bits <= config.max_state_bits
-        and getattr(lowering.kernel, "packable", True)
-    )
-    golden_reach = golden_engine._reachable() if enumerable else None
-
-    if not bound or golden_reach is None or not golden_reach.complete:
-        # No exhaustive checking is likely for any member (or the golden
-        # set cannot seed the delta walk): run the per-member engines, but
-        # still batch their falsification traces through the family kernel —
-        # the trace recipe is reachability-independent, and a member that
-        # does end up exhaustive simply leaves its preload unused.
-        traces = (
-            _family_fallback_traces(lowering, family_positions, config)
-            if bound
-            else None
-        )
+    bound, failures = golden_engine.parse_and_bind(items)
+    for index, assertion, message in failures:
         for position in family_positions:
-            engine = FormalEngine(mutants[position], config, reachability_cache)
-            if traces is not None:
-                engine.preload_fallback_traces(traces[position])
-            results[position] = engine.check_batch(items)
-        return
+            member_results[position][index] = error_result(
+                message, mutants[position].name, assertion
+            )
 
-    # -- strategy + obligations on the golden design ---------------------------
+    golden_reach = (
+        golden_engine.explore_reachability()
+        if getattr(lowering.kernel, "packable", True)
+        else None
+    )
+    # (position, assertion indices, reachability) left to the member's engine.
+    sim_pending: List[Tuple[int, List[int], Optional[ReachabilityResult]]] = []
+    if golden_reach is None or not golden_reach.complete:
+        # The golden set cannot seed the delta walk: the member engines check
+        # everything, with falsification traces still batched below.
+        if bound:
+            indices = [index for index, _ in bound]
+            sim_pending = [(position, indices, None) for position in family_positions]
+    else:
+        sim_pending = _sweep_members(
+            golden_engine, mutants, bound, config, reachability_cache,
+            lowering, family_positions, golden_reach, member_results, stats,
+        )
+
+    # -- leftover assertions: per-member engines with batched traces ------------
+    if sim_pending:
+        traces = _family_fallback_traces(
+            lowering, [position for position, _, _ in sim_pending], config
+        )
+        for position, indices, reach_result in sim_pending:
+            engine = FormalEngine(mutants[position], config, reachability_cache)
+            if reach_result is not None:
+                engine.preload_reachability(reach_result)
+            engine.preload_fallback_traces(traces[position])
+            verdicts = engine.check_batch([items[i] for i in indices])
+            for index, verdict in zip(indices, verdicts):
+                member_results[position][index] = verdict
+
+    for position in family_positions:
+        results[position] = member_results[position]  # type: ignore[assignment]
+
+
+def _sweep_members(
+    golden_engine: FormalEngine,
+    mutants: List[Design],
+    bound: List[Tuple[int, Assertion]],
+    config: EngineConfig,
+    reachability_cache: Optional[ReachabilityCache],
+    lowering: FamilyLowering,
+    family_positions: List[int],
+    golden_reach: ReachabilityResult,
+    member_results: Dict[int, List[Optional[ProofResult]]],
+    stats: FamilyStats,
+) -> List[Tuple[int, List[int], Optional[ReachabilityResult]]]:
+    """Decide every member's exhaustive obligations on the family tables.
+
+    Fills ``member_results``; returns the (position, indices, reachability)
+    entries whose assertions the member's own engine must check.
+    """
+    system = golden_engine._system
+    sweep = _FamilySweep(system, lowering.kernel, golden_reach)
+
+    # -- obligations on the golden design (member 0) ----------------------------
+    golden_table = _MemberTable(sweep, 0, sweep.packed_states)
     golden_obligations: Dict[int, _Obligation] = {}
     obligation_errors: Dict[int, str] = {}
-    engine_indices: List[int] = []  # checked per member through its engine
-    table_indices: List[int] = []
     for index, assertion in bound:
         try:
             obligation = _Obligation(index, assertion, golden_engine._term_fn)
@@ -593,45 +499,26 @@ def _check_family_fast(
         except HdlError as exc:
             obligation_errors[index] = f"elaboration error: {exc}"
             continue
-        if all(
-            _can_compile(lowering.kernel, expr) for expr in obligation.term_exprs()
-        ):
+        if all(golden_table.can_lower(expr) for expr in obligation.term_exprs()):
             golden_obligations[index] = obligation
-            table_indices.append(index)
-        else:
-            engine_indices.append(index)
-    for index, message in obligation_errors.items():
-        assertion = next(a for i, a in bound if i == index)
-        for position in family_positions:
-            member_results[position][index] = error_result(
-                message, mutants[position].name, assertion
-            )
-
-    sweep = _FamilySweep(system, lowering.kernel, golden_reach)
-    exprs: List = []
-    seen_exprs = set()
-    for index in table_indices:
-        for expr in golden_obligations[index].term_exprs():
-            if expr not in seen_exprs:
-                seen_exprs.add(expr)
-                exprs.append(expr)
-
-    # Golden tables (member 0) back the memo comparisons for every member.
+    exprs = list(
+        dict.fromkeys(
+            expr
+            for obligation in golden_obligations.values()
+            for expr in obligation.term_exprs()
+        )
+    )
+    # Golden tables back the memo comparisons for every member.
     golden_next, golden_truths = sweep.sweep([0], exprs)
     golden_next0 = golden_next[0]
-    golden_view = _GoldenView(sweep, golden_next0, golden_truths, exprs)
+    golden_table.adopt({}, golden_next0, golden_truths, exprs)
     for obligation in golden_obligations.values():
-        _run_table_obligation(golden_engine, obligation, golden_view, limit)
-
-    # Witness-screen traces, batched once for the members that can use them.
-    screen_traces = _screen_traces(
-        lowering, family_positions, witnesses, witness_screen, bound
-    )
+        golden_engine._run_table_obligation(obligation, golden_table)
 
     # -- per-member work, chunked along the member axis -------------------------
     bytes_per_member = sweep.num_states * sweep.num_inputs * (8 + max(len(exprs), 1))
     chunk_size = max(1, _MEMBER_CHUNK_BYTES // max(bytes_per_member, 1))
-    sim_pending: List[Tuple[int, List[int], ReachabilityResult]] = []
+    sim_pending: List[Tuple[int, List[int], Optional[ReachabilityResult]]] = []
 
     for chunk_start in range(0, len(family_positions), chunk_size):
         chunk_positions = family_positions[chunk_start : chunk_start + chunk_size]
@@ -648,30 +535,36 @@ def _check_family_fast(
                 reachability_cache.put(
                     reachability_key(mutant, config), reach.result
                 )
-            leftover: List[int] = list(engine_indices)
+            leftover: List[int] = []
             member_table: Optional[_MemberTable] = None
             tables_match = reach.matches_golden and np.array_equal(
                 next_packed[member], golden_next0
             )
-            for index in table_indices:
-                obligation_g = golden_obligations[index]
-                assertion = obligation_g.assertion
-                if not _member_exhaustive(assertion, reach.result, system, config):
+            for index, assertion in bound:
+                # Same order as the engine: the budget gate first, then the
+                # obligation's own errors, then the table run.
+                if not golden_engine._can_check_exhaustively(assertion, reach.result):
+                    leftover.append(index)
+                    continue
+                if index in obligation_errors:
+                    member_results[position][index] = error_result(
+                        obligation_errors[index], mutant.name, assertion
+                    )
+                    continue
+                obligation_g = golden_obligations.get(index)
+                if obligation_g is None:  # a term the family kernel cannot lower
                     leftover.append(index)
                     continue
                 if tables_match and all(
-                    np.array_equal(
-                        truths[(member, expr)], golden_truths[(0, expr)]
-                    )
+                    np.array_equal(truths[(member, expr)], golden_truths[(0, expr)])
                     for expr in obligation_g.term_exprs()
                 ):
                     if obligation_g.witness is not None and member_table is None:
                         member_table = _MemberTable(
-                            sweep, member, reach, next_packed[member], truths, exprs
-                        )
+                            sweep, member, reach.order_packed
+                        ).adopt(reach.extra_rows, next_packed[member], truths, exprs)
                     outcome = _memo_result(
-                        golden_engine, obligation_g, sweep, member_table,
-                        reach, mutant.name,
+                        obligation_g, member_table, reach.result, mutant.name, system
                     )
                     if outcome is None:
                         leftover.append(index)  # golden exhausted its budget
@@ -681,22 +574,10 @@ def _check_family_fast(
                     continue
                 if member_table is None:
                     member_table = _MemberTable(
-                        sweep, member, reach, next_packed[member], truths, exprs
-                    )
+                        sweep, member, reach.order_packed
+                    ).adopt(reach.extra_rows, next_packed[member], truths, exprs)
                 obligation_m = _Obligation(index, assertion, _null_term_fn)
-                if obligation_m.depth == 0:
-                    golden_engine._vec_depth0(obligation_m, member_table)
-                else:
-                    plan = _deep_plan(obligation_m, member_table, limit)
-                    screened = _screen_obligation(
-                        golden_engine, obligation_m, plan, limit,
-                        screen_traces.get(position), mutant, reach.result,
-                    )
-                    if screened is not None:
-                        member_results[position][index] = screened
-                        stats.screen_kills += 1
-                        continue
-                    golden_engine._vec_deep(obligation_m, member_table, plan)
+                golden_engine._run_table_obligation(obligation_m, member_table)
                 if obligation_m.budget_exhausted:
                     leftover.append(index)
                 else:
@@ -705,96 +586,16 @@ def _check_family_fast(
                         system.state_names, system.input_names,
                     )
             if leftover:
-                sim_pending.append((position, sorted(set(leftover)), reach.result))
-            else:
-                results[position] = member_results[position]  # type: ignore[assignment]
-
-    # -- leftover assertions: per-member engines with batched traces ------------
-    if sim_pending:
-        traces = _family_fallback_traces(
-            lowering, [position for position, _, _ in sim_pending], config
-        )
-        for position, indices, reach_result in sim_pending:
-            engine = FormalEngine(mutants[position], config, reachability_cache)
-            engine.preload_reachability(reach_result)
-            engine.preload_fallback_traces(traces[position])
-            verdicts = engine.check_batch([items[i] for i in indices])
-            for index, verdict in zip(indices, verdicts):
-                member_results[position][index] = verdict
-            results[position] = member_results[position]  # type: ignore[assignment]
-
-    for position in family_positions:
-        if results[position] is None:
-            results[position] = member_results[position]  # type: ignore[assignment]
-
-
-class _GoldenView(ObligationTable):
-    """Golden design's obligation table over the family sweep's member 0."""
-
-    def __init__(self, sweep: _FamilySweep, next_packed, truths, exprs) -> None:
-        super().__init__()
-        self._sweep = sweep
-        self.num_states = sweep.num_states
-        self.num_inputs = sweep.num_inputs
-        next_index = np.empty((self.num_states, self.num_inputs), dtype=np.int64)
-        for idx in range(self.num_states):
-            next_index[idx] = np.fromiter(
-                (
-                    self._sweep.golden_index(int(value))
-                    for value in next_packed[idx].tolist()
-                ),
-                dtype=np.int64,
-                count=self.num_inputs,
-            )
-        if (next_index < 0).any():
-            raise ValueError("transition leaves the golden reachable set")
-        self._next_index = next_index
-        for expr in exprs:
-            self._truth[expr] = truths[(0, expr)]
-
-    def env_rows(self, pairs, names=None):
-        lanes = len(pairs)
-        states = np.asarray(
-            [int(self._sweep.packed_states[s]) for s, _ in pairs], dtype=np.int64
-        )
-        inputs = np.asarray(
-            [int(self._sweep.packed_grid[i]) for _, i in pairs], dtype=np.int64
-        )
-        members = np.zeros(lanes, dtype=np.int64)
-        env, _ = self._sweep.kernel.family_step_packed(members, states, inputs)
-        keys = (
-            list(names)
-            if names is not None
-            else list(self._sweep.system.model.signals)
-        )
-        return [self._sweep.kernel.env_row(env, lane, keys) for lane in range(lanes)]
-
-
-def _can_compile(kernel: FamilyKernel, expr) -> bool:
-    try:
-        kernel.exprs.compile(expr)
-    except Exception:
-        return False
-    return True
-
-
-def _run_table_obligation(
-    engine: FormalEngine, obligation: _Obligation, table, limit: int
-) -> None:
-    """Decide one obligation on a dense table (depth-0 or deep)."""
-    if obligation.depth == 0:
-        engine._vec_depth0(obligation, table)
-    else:
-        engine._vec_deep(obligation, table)
+                sim_pending.append((position, leftover, reach.result))
+    return sim_pending
 
 
 def _memo_result(
-    engine: FormalEngine,
     obligation_g: _Obligation,
-    sweep: _FamilySweep,
-    member_table: Optional["_MemberTable"],
-    reach: _MemberReachability,
+    member_table: Optional[_MemberTable],
+    reach: ReachabilityResult,
     design_name: str,
+    system: TransitionSystem,
 ) -> Optional[ProofResult]:
     """Reuse the golden verdict for a member with identical tables.
 
@@ -817,106 +618,11 @@ def _memo_result(
         if obligation_g.witness_pairs is None or member_table is None:
             return None  # pragma: no cover - vectorized refutes always set pairs
         cycles = member_table.env_rows(
-            obligation_g.witness_pairs, engine._witness_names()
+            obligation_g.witness_pairs, system.observed_signals
         )
         clone.witness = (cycles, obligation_g.witness[1])
     return assemble_exhaustive_result(
-        clone,
-        reach.result,
-        design_name,
-        sweep.system.state_names,
-        sweep.system.input_names,
-    )
-
-
-def _screen_traces(
-    lowering: FamilyLowering,
-    family_positions: List[int],
-    witnesses: Sequence,
-    witness_screen: bool,
-    bound: List[Tuple[int, Assertion]],
-) -> Dict[int, Tuple]:
-    """Replay difference-witness traces for screen-eligible members, batched.
-
-    Returns ``{mutant position: (trace, seed)}``.  Only members carrying a
-    simulation-method witness can be screened, and only deep obligations
-    benefit, so the batch is skipped entirely when no bound assertion has
-    temporal depth.
-    """
-    if not witness_screen:
-        return {}
-    if not any(assertion.temporal_depth > 0 for _, assertion in bound):
-        return {}
-    eligible: List[Tuple[int, int]] = []  # (position, seed)
-    for position in family_positions:
-        witness = witnesses[position]
-        if witness is not None and getattr(witness, "method", "") == "simulation":
-            eligible.append((position, int(getattr(witness, "seed", 0))))
-    if not eligible:
-        return {}
-    from ..mutate.semantic import WITNESS_CYCLES, witness_stimulus
-
-    seeds = sorted({seed for _, seed in eligible})
-    stimuli = [witness_stimulus(seed) for seed in seeds]
-    members = [lowering.member_ids[position] for position, _ in eligible]
-    traces = lowering.kernel.family_simulate(members, stimuli, WITNESS_CYCLES)
-    seed_slot = {seed: slot for slot, seed in enumerate(seeds)}
-    return {
-        position: (traces[row][seed_slot[seed]], seed)
-        for row, (position, seed) in enumerate(eligible)
-    }
-
-
-def _screen_obligation(
-    engine: FormalEngine,
-    obligation: _Obligation,
-    plan,
-    limit: int,
-    screen: Optional[Tuple],
-    mutant: Design,
-    reach: ReachabilityResult,
-) -> Optional[ProofResult]:
-    """Harvest a cheap kill from the member's difference-witness trace.
-
-    Sound only when the table search would produce a *complete* refutation
-    anyway: the caller's deep plan must say a refutation exists within
-    budget (so the per-mutant outcome is CEX either way), and the trace
-    violation supplies a genuine reachable counterexample.  Depth-0
-    obligations are never screened — their array decision is already
-    cheaper than a trace check.
-    """
-    if screen is None:
-        return None
-    if not plan.refutable or plan.charges > limit:
-        return None
-    trace, seed = screen
-    checker = TraceChecker(mutant.model, backend=engine.backend)
-    try:
-        result = checker.check(obligation.assertion, trace)
-    except EvalError:
-        return None
-    if not result.violations:
-        return None
-    start = result.first_violation
-    window = trace.window(start, obligation.depth + 1)
-    cycles = [window.row(i) for i in range(window.num_cycles)]
-    return ProofResult(
-        status=ProofStatus.CEX,
-        assertion=obligation.assertion,
-        design_name=mutant.name,
-        counterexample=Counterexample(
-            cycles=cycles,
-            trigger_cycle=start,
-            failed_term=result.failed_terms[0],
-        ),
-        reason=(
-            "counterexample found on the mutant's difference-witness trace "
-            f"(seed {seed})"
-        ),
-        engine="witness-screen",
-        complete=True,
-        states_explored=reach.count,
-        depth=obligation.depth,
+        clone, reach, design_name, system.state_names, system.input_names
     )
 
 

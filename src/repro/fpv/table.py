@@ -18,14 +18,14 @@ few (state, input) pairs on a refuting path.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from ..hdl import ast
 from ..sim.vector import UnsupportedForVectorization, VectorKernel
 from ..sim.eval import EvalError
-from .transition import ReachabilityResult, State, TransitionSystem
+from .transition import ReachabilityResult, TransitionSystem
 
 #: Upper bound on (state chunk × input grid) lanes per kernel call.
 _CHUNK_LANES = 1 << 18
@@ -72,19 +72,39 @@ class PackedStateIndex:
 
 
 class ObligationTable:
-    """Dense (states × inputs) matrices with cached row-list views.
+    """Dense (states × inputs) matrices over one design's step function.
 
-    The base layer shared by :class:`TransitionTable` (one design) and the
-    family member views of :mod:`repro.fpv.incremental` (one mutant riding a
-    family sweep): the obligation runners in :mod:`repro.fpv.engine` only
+    The one table view behind every exhaustive obligation: a standalone
+    design's :class:`TransitionTable` steps through ``kernel.step_packed``,
+    a mutant riding a family sweep (:mod:`repro.fpv.incremental`) through
+    ``family_step_packed`` with its fixed member id.  Rows are the
+    reachable states in reachability order (``packed_states``), columns
+    the input grid.  The obligation runners in :mod:`repro.fpv.engine` only
     ever touch this interface, so a mutant's obligations run on exactly the
     same code path as a standalone design's.
+
+    ``step(packed_states, packed_inputs) -> (env, next_packed)`` settles
+    lanes; :meth:`ensure_terms` sweeps it over the whole table for any
+    truth matrix (or the next-state index) not supplied up front, and
+    :meth:`env_rows` re-steps the few lanes of a counterexample path.
     """
 
-    num_states: int = 0
-    num_inputs: int = 0
-
-    def __init__(self) -> None:
+    def __init__(
+        self,
+        kernel,
+        step: Callable,
+        packed_states: np.ndarray,
+        packed_grid: np.ndarray,
+        signals: Sequence[str],
+    ) -> None:
+        self._kernel = kernel
+        self._step = step
+        self._packed_states = packed_states
+        self._packed_grid = packed_grid
+        self._signals = list(signals)
+        self._index = PackedStateIndex(packed_states, sum(kernel.state_widths))
+        self.num_states = len(packed_states)
+        self.num_inputs = len(packed_grid)
         self._next_index: Optional[np.ndarray] = None
         self._next_rows: Optional[List[List[int]]] = None
         self._truth: Dict[ast.Expr, np.ndarray] = {}
@@ -93,6 +113,14 @@ class ObligationTable:
     @property
     def shape(self) -> Tuple[int, int]:
         return (self.num_states, self.num_inputs)
+
+    def can_lower(self, expr: ast.Expr) -> bool:
+        """True when ``expr`` compiles to a vector kernel."""
+        try:
+            self._kernel.exprs.compile(expr)
+        except (UnsupportedForVectorization, EvalError):
+            return False
+        return True
 
     def truth(self, expr: ast.Expr) -> np.ndarray:
         """Boolean (states × inputs) truth matrix for a lowered term."""
@@ -112,39 +140,14 @@ class ObligationTable:
             self._next_rows = self._next_index.tolist()
         return self._next_rows
 
-
-class TransitionTable(ObligationTable):
-    """Reachable-state × input-grid view of one design's transition system."""
-
-    def __init__(
-        self,
-        system: TransitionSystem,
-        kernel: VectorKernel,
-        reachability: ReachabilityResult,
-    ):
-        super().__init__()
-        self._system = system
-        self._kernel = kernel
-        self.states: List[State] = list(reachability.states)
-        self.num_states = len(self.states)
-        grid = system.input_grid
-        self.num_inputs = len(grid)
-
-        self._packed_states = np.asarray(
-            [kernel.pack_state(state) for state in self.states], dtype=np.int64
-        )
-        self._packed_grid = kernel.pack_input_grid(grid)
-        self._index = PackedStateIndex(self._packed_states, sum(kernel.state_widths))
-
-    # -- term support -----------------------------------------------------------
-
-    def can_lower(self, expr: ast.Expr) -> bool:
-        """True when ``expr`` compiles to a vector kernel."""
-        try:
-            self._kernel.exprs.compile(expr)
-        except (UnsupportedForVectorization, EvalError):
-            return False
-        return True
+    def _set_next_packed(self, next_packed: np.ndarray) -> None:
+        """Adopt a (states × inputs) packed next-state table as row indices."""
+        indices = self._index.indices(next_packed.ravel())
+        if (indices < 0).any():
+            # A complete reachable set is closed under step; a miss means the
+            # caller handed us a truncated reachability result.
+            raise ValueError("transition leaves the supplied reachable set")
+        self._next_index = indices.reshape(self.shape)
 
     # -- table construction -----------------------------------------------------
 
@@ -163,8 +166,7 @@ class TransitionTable(ObligationTable):
         S, I = self.shape
         for expr in missing:
             self._truth[expr] = np.zeros((S, I), dtype=bool)
-        if need_next:
-            self._next_index = np.zeros((S, I), dtype=np.int64)
+        next_packed = np.zeros((S, I), dtype=np.int64) if need_next else None
 
         chunk_states = max(1, _CHUNK_LANES // max(I, 1))
         for start in range(0, S, chunk_states):
@@ -173,17 +175,14 @@ class TransitionTable(ObligationTable):
             lanes = count * I
             states_rep = np.repeat(self._packed_states[start:stop], I)
             inputs_tiled = np.tile(self._packed_grid, count)
-            env, next_packed = self._kernel.step_packed(states_rep, inputs_tiled)
+            env, step_next = self._step(states_rep, inputs_tiled)
             if need_next:
-                indices = self._index.indices(next_packed)
-                self._next_index[start:stop] = indices.reshape(count, I)
+                next_packed[start:stop] = step_next.reshape(count, I)
             for expr, kernel in kernels:
                 values = self._kernel.bool_lanes(kernel(env), lanes)
                 self._truth[expr][start:stop] = values.reshape(count, I)
-        if need_next and (self._next_index < 0).any():
-            # A complete reachable set is closed under step; a miss means the
-            # caller handed us a truncated reachability result.
-            raise ValueError("transition leaves the supplied reachable set")
+        if need_next:
+            self._set_next_packed(next_packed)
 
     # -- witness materialisation ------------------------------------------------
 
@@ -197,13 +196,29 @@ class TransitionTable(ObligationTable):
         Used to rebuild counterexample cycles; the batch is tiny (one lane
         per path node).
         """
-        lanes = len(pairs)
-        states = np.asarray(
-            [int(self._packed_states[s]) for s, _ in pairs], dtype=np.int64
+        states = self._packed_states[[s for s, _ in pairs]]
+        inputs = self._packed_grid[[i for _, i in pairs]]
+        env, _ = self._step(states, inputs)
+        keys = list(names) if names is not None else self._signals
+        return [self._kernel.env_row(env, lane, keys) for lane in range(len(pairs))]
+
+
+class TransitionTable(ObligationTable):
+    """Reachable-state × input-grid view of one design's transition system."""
+
+    def __init__(
+        self,
+        system: TransitionSystem,
+        kernel: VectorKernel,
+        reachability: ReachabilityResult,
+    ):
+        super().__init__(
+            kernel,
+            kernel.step_packed,
+            np.asarray(
+                [kernel.pack_state(state) for state in reachability.states],
+                dtype=np.int64,
+            ),
+            kernel.pack_input_grid(system.input_grid),
+            system.model.signals,
         )
-        inputs = np.asarray(
-            [int(self._packed_grid[i]) for _, i in pairs], dtype=np.int64
-        )
-        env, _ = self._kernel.step_packed(states, inputs)
-        keys = list(names) if names is not None else list(self._system.model.signals)
-        return [self._kernel.env_row(env, lane, keys) for lane in range(lanes)]

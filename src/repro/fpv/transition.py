@@ -24,11 +24,14 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Dict, Iterator, List, Optional, Tuple
+from typing import TYPE_CHECKING, Callable, Dict, Iterator, List, Optional, Tuple
 
 from ..hdl.design import Design
 from ..hdl.elaborate import RtlModel
 from ..sim.compile import VECTORIZED, CombSettle, default_backend, make_evaluator, make_executor
+
+if TYPE_CHECKING:  # pragma: no cover
+    import numpy as np
 
 State = Tuple[int, ...]
 InputVector = Tuple[int, ...]
@@ -390,114 +393,126 @@ _BFS_CHUNK_LANES = 1 << 18
 _BFS_MIN_VECTOR_LANES = 64
 
 
-def _enumerate_reachable_vectorized(
-    system: TransitionSystem,
-    kernel,
+def walk(
+    initial: int,
+    successors: Callable[[List[int]], "np.ndarray"],
+    num_inputs: int,
+    state_bits: int,
     max_states: int,
     max_transitions: int,
-) -> ReachabilityResult:
-    """Array-oriented BFS, order-identical to the scalar walk."""
+) -> Tuple[List[int], bool, int]:
+    """Wave BFS over packed states, order-identical to the scalar walk.
+
+    ``successors(chunk)`` returns the flat next-state array of a frontier
+    chunk: ``num_inputs`` packed next states per chunk state, in chunk
+    order.  The walk owns the visited set (a dense array at ≤ 24 state
+    bits), the discovery order, the chunking, and both truncation points,
+    so every packed BFS — one design's and a family member's delta walk —
+    returns the scalar walk's ``(order, complete, transitions explored)``.
+    """
     import numpy as np
 
-    pack_state = kernel.pack_state
-    unpack_state = kernel.unpack_state
-    state_bits = sum(kernel.state_widths)
-    grid = system.input_grid
-    num_inputs = len(grid)
-    packed_grid = kernel.pack_input_grid(grid)
+    if state_bits <= 24:
+        visited = np.zeros(1 << state_bits, dtype=bool)
+        visited[initial] = True
 
-    initial = pack_state(system.initial_state())
-    dense = state_bits <= 24
-    if dense:
-        visited_arr = np.zeros(1 << state_bits, dtype=bool)
-        visited_arr[initial] = True
+        def unseen(flat):
+            return ~visited[flat]
+
+        def mark(value: int) -> None:
+            visited[value] = True
     else:
-        visited_set = {initial}
+        seen = {initial}
+
+        def unseen(flat):
+            return np.fromiter(
+                (value not in seen for value in flat.tolist()),
+                dtype=bool,
+                count=len(flat),
+            )
+
+        mark = seen.add
     order: List[int] = [initial]
     frontier: List[int] = [initial]
     transitions = 0
     chunk_states = max(1, _BFS_CHUNK_LANES // max(num_inputs, 1))
-
-    def result(packed_order: List[int], complete: bool, exhausted: bool, count: int):
-        return ReachabilityResult(
-            states=[unpack_state(p) for p in packed_order],
-            complete=complete,
-            frontier_exhausted=exhausted,
-            transitions_explored=count,
-        )
-
-    input_dicts = system.input_dicts()
-
-    def seen(packed: int) -> bool:
-        return bool(visited_arr[packed]) if dense else packed in visited_set
-
-    def mark(packed: int) -> None:
-        if dense:
-            visited_arr[packed] = True
-        else:
-            visited_set.add(packed)
 
     while frontier:
         next_frontier: List[int] = []
         for start in range(0, len(frontier), chunk_states):
             chunk = frontier[start : start + chunk_states]
             lanes = len(chunk) * num_inputs
-
-            if lanes < _BFS_MIN_VECTOR_LANES:
-                # Tiny frontier: per-op kernel dispatch would cost more than
-                # the memoised scalar step.  Same walk, same order.
-                for packed_state in chunk:
-                    state = unpack_state(packed_state)
-                    for inputs in input_dicts:
-                        transitions += 1
-                        if transitions > max_transitions:
-                            return result(order, False, False, transitions)
-                        next_state = system.step(state, inputs).next_state
-                        packed_next = pack_state(next_state)
-                        if not seen(packed_next):
-                            mark(packed_next)
-                            order.append(packed_next)
-                            next_frontier.append(packed_next)
-                            if len(order) >= max_states:
-                                return result(order, False, False, transitions)
-                continue
-
-            states_rep = np.repeat(np.asarray(chunk, dtype=np.int64), num_inputs)
-            inputs_tiled = np.tile(packed_grid, len(chunk))
-            _, next_packed = kernel.step_packed(states_rep, inputs_tiled)
-
             allowed = max_transitions - transitions
             truncated = allowed < lanes
-            flat = next_packed[:allowed] if truncated else next_packed
-
-            if dense:
-                new_mask = ~visited_arr[flat]
-            else:
-                new_mask = np.fromiter(
-                    (value not in visited_set for value in flat.tolist()),
-                    dtype=bool,
-                    count=len(flat),
-                )
+            flat = successors(chunk)
+            if truncated:
+                flat = flat[:allowed]
+            new_mask = unseen(flat)
             if new_mask.any():
                 positions = np.nonzero(new_mask)[0]
                 candidates = flat[positions]
                 _, first_index = np.unique(candidates, return_index=True)
                 for k in np.sort(first_index).tolist():
                     value = int(candidates[k])
-                    if dense:
-                        visited_arr[value] = True
-                    else:
-                        visited_set.add(value)
+                    mark(value)
                     order.append(value)
                     next_frontier.append(value)
                     if len(order) >= max_states:
                         # Same return point as the scalar walk: the pair that
                         # discovered the capping state.
-                        exact = transitions + int(positions[k]) + 1
-                        return result(order, False, False, exact)
+                        return order, False, transitions + int(positions[k]) + 1
             if truncated:
-                return result(order, False, False, max_transitions + 1)
+                return order, False, max_transitions + 1
             transitions += lanes
         frontier = next_frontier
+    return order, True, transitions
 
-    return result(order, True, True, transitions)
+
+def _enumerate_reachable_vectorized(
+    system: TransitionSystem,
+    kernel,
+    max_states: int,
+    max_transitions: int,
+) -> ReachabilityResult:
+    """Array-oriented BFS: :func:`walk` over the design's kernel."""
+    import numpy as np
+
+    pack_state = kernel.pack_state
+    unpack_state = kernel.unpack_state
+    grid = system.input_grid
+    num_inputs = len(grid)
+    packed_grid = kernel.pack_input_grid(grid)
+    input_dicts = system.input_dicts()
+
+    def successors(chunk: List[int]) -> np.ndarray:
+        if len(chunk) * num_inputs < _BFS_MIN_VECTOR_LANES:
+            # Tiny frontier: per-op kernel dispatch would cost more than
+            # the memoised scalar step.  Same rows, same order.
+            return np.asarray(
+                [
+                    pack_state(system.step(unpack_state(packed), inputs).next_state)
+                    for packed in chunk
+                    for inputs in input_dicts
+                ],
+                dtype=np.int64,
+            )
+        states_rep = np.repeat(np.asarray(chunk, dtype=np.int64), num_inputs)
+        _, next_packed = kernel.step_packed(
+            states_rep, np.tile(packed_grid, len(chunk))
+        )
+        return next_packed
+
+    order, complete, transitions = walk(
+        pack_state(system.initial_state()),
+        successors,
+        num_inputs,
+        sum(kernel.state_widths),
+        max_states,
+        max_transitions,
+    )
+    return ReachabilityResult(
+        states=[unpack_state(packed) for packed in order],
+        complete=complete,
+        frontier_exhausted=complete,
+        transitions_explored=transitions,
+    )

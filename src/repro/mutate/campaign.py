@@ -81,13 +81,9 @@ class MutationConfig:
     #: design (stillborn mutants are always dropped).
     semantic_filter: bool = True
     #: Schedule whole families (golden + mutants) as one vectorized unit;
-    #: off = the reference per-mutant design batches.  Verdict outcomes are
+    #: off = the reference per-mutant design batches.  Every verdict is
     #: identical either way, so this is excluded from :meth:`identity`.
     family_batching: bool = True
-    #: Harvest cheap kills by checking assertions against each mutant's
-    #: difference-witness trace before the full table search (family path
-    #: only; outcome-identical, so also excluded from :meth:`identity`).
-    witness_screen: bool = True
 
     def identity(self) -> Dict:
         """Normalised form stored in completion markers.
@@ -97,9 +93,8 @@ class MutationConfig:
         higher mutant cap must re-enumerate instead of silently returning
         the smaller earlier sweep.  Resolving through the operator library
         also validates the names (``KeyError`` on unknown operators).
-        Throughput-only knobs (family batching, the witness pre-screen) are
-        left out: they never change an outcome, so a rerun may flip them and
-        still resume.
+        The throughput-only knob (family batching) is left out: it never
+        changes a verdict, so a rerun may flip it and still resume.
         """
         return {
             "operators": sorted(op.name for op in resolve_operators(self.operators)),
@@ -459,8 +454,7 @@ class MutationCampaign:
             union_texts = [texts[position] for position in union]
             slot_of = {position: slot for slot, position in enumerate(union)}
             family_verdicts = self._service.check_families(
-                [(design, [mutant for mutant, _ in work], union_texts)],
-                witness_screen=self._config.witness_screen,
+                [(design, [mutant for mutant, _ in work], union_texts)]
             )[0]
             verdict_lists = [
                 [verdicts[slot_of[position]] for position in missing]

@@ -46,9 +46,9 @@ __all__ = [
     "witness_stimulus",
 ]
 
-#: Bounded lockstep-simulation budget of the semantic filter.  The FPV
-#: witness pre-screen replays exactly these traces, so the constants and the
-#: stimulus recipe below are the single source of truth for both.
+#: Bounded lockstep-simulation budget of the semantic filter.  The constants
+#: and the stimulus recipe below are the single source of truth for
+#: replaying a witness trace.
 WITNESS_CYCLES = 96
 WITNESS_RESET_CYCLES = 2
 
@@ -75,7 +75,7 @@ class DifferenceWitness:
     #: Stimulus cycle of the divergence (simulation) — 0 for the sweep.
     cycle: int = 0
     #: Stimulus seed the divergence was observed under (simulation) — lets
-    #: the witness trace be replayed, e.g. by the FPV pre-screen.
+    #: the witness trace be replayed (:func:`witness_stimulus`).
     seed: int = 0
 
     def describe(self) -> str:

@@ -9,7 +9,8 @@ parent's in-process retry alike.  The marker file named by
 :data:`CRASH_MARKER_ENV` records that the crash happened.  The ``failing``
 stand-ins raise wherever they run, so the in-process retry fails too;
 :func:`design_batch_failing_for_one_design` does so only for the design named
-by :data:`FAILING_DESIGN_ENV`.
+by :data:`FAILING_DESIGN_ENV`.  :func:`tear_trailing_record` leaves a JSONL
+log the way a crash in the middle of an append does.
 """
 
 from __future__ import annotations
@@ -24,6 +25,13 @@ FAILING_DESIGN_ENV = "REPRO_TEST_FAILING_DESIGN"
 
 _REAL_DESIGN_BATCH = scheduler._check_design_batch
 _REAL_FAMILY_JOB = scheduler._check_family_job
+
+
+def tear_trailing_record(path) -> None:
+    """Cut the last line of a JSONL file in half, newline included."""
+    data = path.read_bytes()
+    start = data.rstrip(b"\n").rfind(b"\n") + 1
+    path.write_bytes(data[: start + (len(data) - start) // 2])
 
 
 def crash_once(real, args):

@@ -11,6 +11,7 @@ from faults import (
     design_batch_crashing_once,
     design_batch_failing_for_one_design,
     family_job_always_failing,
+    tear_trailing_record,
 )
 
 from repro.core import (
@@ -245,7 +246,11 @@ class TestKillAndResume:
         committed = RunStore(run_dir).completed_cells()
         assert len(committed) == 3
         # Verdicts of the crashed (uncommitted) cell survived in the cache.
-        assert len(RunStore(run_dir).verdict_cache()) > 0
+        cached = len(RunStore(run_dir).verdict_cache())
+        assert cached > 0
+        # The crash also tore the verdict log's last record mid-write.
+        tear_trailing_record(run_dir / "verdicts.jsonl")
+        assert len(RunStore(run_dir).verdict_cache()) == cached - 1
 
         # Phase 2: fresh process — new store, runtime, service, generators.
         resumed_store = RunStore(run_dir)

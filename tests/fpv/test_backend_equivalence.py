@@ -204,12 +204,16 @@ class TestCorpusVerdictEquivalence:
         assert per_backend["vectorized"] == per_backend["interpreted"], limit
 
     def test_truncated_reachability_identical(self, corpus):
-        """Caps that bite mid-walk truncate at the same transition."""
+        """Caps that bite mid-walk truncate at the same transition.
+
+        ``(2048, 192)`` cuts exactly on a row boundary: three whole rows of
+        watchdog4's 64-valuation input grid.
+        """
         design = corpus.design("watchdog4")
         keys = []
         for backend in BACKENDS:
             system = TransitionSystem(design, max_input_bits=12, backend=backend)
-            for caps in ((7, 10_000), (2048, 33), (5, 41)):
+            for caps in ((7, 10_000), (2048, 33), (5, 41), (2048, 192)):
                 result = enumerate_reachable(
                     system, max_states=caps[0], max_transitions=caps[1]
                 )

@@ -97,8 +97,6 @@ def test_family_verdicts_bit_identical_over_corpus(families):
             texts,
             _ENGINE,
             cache,
-            witnesses=[mutant.witness for mutant in mutants],
-            witness_screen=False,
         )
         for mutant, verdicts in zip(mutants, family):
             solo = FormalEngine(mutant.design, _ENGINE).check_batch(texts)
@@ -108,30 +106,69 @@ def test_family_verdicts_bit_identical_over_corpus(families):
     assert compared > 50
 
 
-def test_delta_reachability_matches_per_mutant_bfs(families):
+def _golden_walk(design, max_states, max_transitions):
+    system = TransitionSystem(
+        design, max_input_bits=_ENGINE.max_input_bits, backend="compiled"
+    )
+    return enumerate_reachable(
+        system, max_states=max_states, max_transitions=max_transitions
+    )
+
+
+#: Caps derived from each golden design's own complete BFS: the golden walk
+#: still completes (so members take the delta path), while any member that
+#: reaches more states or needs more transitions truncates — on its first
+#: extra state, three transitions into its first extra row, or exactly on
+#: the row boundary where the golden walk ends (a multiple of the grid).
+_DELTA_CAPS = {
+    "engine-caps": lambda golden: (_ENGINE.max_states, _ENGINE.max_transitions),
+    "states+1": lambda golden: (golden.count + 1, _ENGINE.max_transitions),
+    "transitions+3": lambda golden: (
+        _ENGINE.max_states, golden.transitions_explored + 3
+    ),
+    "row-boundary": lambda golden: (
+        _ENGINE.max_states, golden.transitions_explored
+    ),
+}
+
+
+@pytest.mark.parametrize("caps", sorted(_DELTA_CAPS))
+def test_delta_reachability_matches_per_mutant_bfs(families, caps):
+    truncated = 0
     for design, mutants, texts in families:
+        golden = _golden_walk(design, _ENGINE.max_states, _ENGINE.max_transitions)
+        if not golden.complete:
+            continue
+        max_states, max_transitions = _DELTA_CAPS[caps](golden)
+        config = EngineConfig(
+            **{
+                **vars(_ENGINE),
+                "max_states": max_states,
+                "max_transitions": max_transitions,
+            }
+        )
+        assert _golden_walk(design, max_states, max_transitions).complete
         cache = ReachabilityCache()
         check_family(
             design,
             [mutant.design for mutant in mutants],
             texts,
-            _ENGINE,
+            config,
             cache,
-            witness_screen=False,
         )
         entries = cache.entries()
         checked = 0
         for mutant in mutants:
-            key = reachability_key(mutant.design, _ENGINE)
+            key = reachability_key(mutant.design, config)
             if key not in entries:
                 continue  # simulation-only member: no BFS on either path
-            system = TransitionSystem(
-                mutant.design, max_input_bits=_ENGINE.max_input_bits, backend="compiled"
+            mutant_system = TransitionSystem(
+                mutant.design, max_input_bits=config.max_input_bits, backend="compiled"
             )
             scalar = enumerate_reachable(
-                system,
-                max_states=_ENGINE.max_states,
-                max_transitions=_ENGINE.max_transitions,
+                mutant_system,
+                max_states=config.max_states,
+                max_transitions=config.max_transitions,
             )
             delta = entries[key]
             assert delta.states == scalar.states
@@ -139,7 +176,10 @@ def test_delta_reachability_matches_per_mutant_bfs(families):
             assert delta.frontier_exhausted == scalar.frontier_exhausted
             assert delta.transitions_explored == scalar.transitions_explored
             checked += 1
+            truncated += not scalar.complete
         assert checked
+    if caps != "engine-caps":
+        assert truncated, "no member walk truncated under these caps"
 
 
 def test_compiled_backend_family_falls_back_identically(families):
@@ -151,7 +191,6 @@ def test_compiled_backend_family_falls_back_identically(families):
         [mutant.design for mutant in mutants],
         texts,
         compiled,
-        witness_screen=False,
         stats=stats,
     )
     assert stats.fallback_members == len(mutants)
@@ -160,7 +199,6 @@ def test_compiled_backend_family_falls_back_identically(families):
         [mutant.design for mutant in mutants],
         texts,
         _ENGINE,
-        witness_screen=False,
     )
     for fallback_verdicts, vector_verdicts in zip(fallback, vectorized):
         for fallback_proof, vector_proof in zip(fallback_verdicts, vector_verdicts):
@@ -177,7 +215,6 @@ def test_foreign_member_rejected_and_checked_by_engine(families, corpus):
         [mutants[0].design, foreign],
         texts,
         _ENGINE,
-        witness_screen=False,
         stats=stats,
     )
     assert stats.fallback_members == 1
@@ -187,7 +224,7 @@ def test_foreign_member_rejected_and_checked_by_engine(families, corpus):
 
 
 # ---------------------------------------------------------------------------
-# The witness pre-screen
+# Semantic-filter and engine caps that diverge
 # ---------------------------------------------------------------------------
 
 _BIG_COUNTER = """
@@ -204,7 +241,7 @@ module bigcnt(clk, rst, en, ok);
 endmodule
 """
 
-_SCREEN_ENGINE = EngineConfig(
+_BIG_ENGINE = EngineConfig(
     max_states=4096,
     max_transitions=200_000,
     max_input_bits=4,
@@ -216,7 +253,10 @@ _SCREEN_ENGINE = EngineConfig(
 )
 
 
-def test_witness_screen_harvests_kill_with_identical_outcome():
+def test_simulation_witness_mutant_matches_solo_engine():
+    """A mutant the semantic filter could only tell apart by simulation (its
+    state space is past the filter's sweep cap) is still proved exhaustively
+    by the engine; the family verdict equals the solo one in every field."""
     golden = Design.from_source(_BIG_COUNTER, name="bigcnt")
     from repro.mutate.operators import apply_mutation, mutation_sites
 
@@ -231,22 +271,9 @@ def test_witness_screen_harvests_kill_with_identical_outcome():
 
     text = "assert property (@(posedge clk) (en == 1) |=> (ok == 1));"
     stats = FamilyStats()
-    screened = check_family(
-        golden, [mutant], [text], _SCREEN_ENGINE,
-        witnesses=[witness], witness_screen=True, stats=stats,
-    )[0][0]
-    assert stats.screen_kills == 1
-    assert screened.engine == "witness-screen"
+    family = check_family(golden, [mutant], [text], _BIG_ENGINE, stats=stats)[0][0]
+    assert stats.family_members == 1
 
-    solo = FormalEngine(mutant, _SCREEN_ENGINE).check_batch([text])[0]
-    # The harvested kill matches the canonical verdict in everything the
-    # mutation stage records; only the CEX representation reveals the
-    # shortcut (trace window vs explicit-state path).
-    assert (screened.status, screened.complete) == (solo.status, solo.complete)
-    assert solo.engine == "explicit-state"
-
-    unscreened = check_family(
-        golden, [mutant], [text], _SCREEN_ENGINE,
-        witnesses=[witness], witness_screen=False,
-    )[0][0]
-    assert _proof_key(unscreened) == _proof_key(solo)
+    solo = FormalEngine(mutant, _BIG_ENGINE).check_batch([text])[0]
+    assert solo.is_fail and solo.complete and solo.engine == "explicit-state"
+    assert _proof_key(family) == _proof_key(solo)

@@ -179,7 +179,8 @@ class TestPowerTablePath:
             else:
                 assert key == reference, backend
 
-    @pytest.mark.parametrize("caps", [(7, 10_000), (2048, 33), (5, 41)])
+    # (2048, 320) cuts exactly on a row boundary: 40 rows of the 8-valuation grid.
+    @pytest.mark.parametrize("caps", [(7, 10_000), (2048, 33), (5, 41), (2048, 320)])
     def test_truncated_reachability_identical(self, pow_design, caps):
         variants = set()
         for backend in ("interpreted", "compiled", "vectorized"):

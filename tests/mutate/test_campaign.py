@@ -144,6 +144,25 @@ class TestDurability:
         assert {record.key: record.outcome for record in resumed.records} == first
         assert svc2.cache.stats()["misses"] == 0
 
+        # A crash mid-append tears the log's trailing record (here the
+        # design's completion marker): the rerun scans the design again,
+        # finds every verdict record in the log, and ends at the identical
+        # kill table.
+        log = store.mutations_path
+        data = log.read_bytes()
+        start = data.rstrip(b"\n").rfind(b"\n") + 1
+        log.write_bytes(data[: start + (len(data) - start) // 2])
+        store3 = RunStore(tmp_path / "run")
+        with VerificationService(
+            SchedulerConfig(engine=EngineConfig()), cache=store3.verdict_cache()
+        ) as svc3:
+            torn = MutationCampaign(svc3, store3, config).run(
+                [counter], {counter.name: [_STRONG]}
+            )
+        assert {record.key: record.outcome for record in torn.records} == first
+        assert torn.scores() == summary.scores()
+        assert torn.outcome_counts() == summary.outcome_counts()
+
     def test_marker_with_different_config_rescans(self, counter, tmp_path):
         store = RunStore(tmp_path / "run")
         with VerificationService(

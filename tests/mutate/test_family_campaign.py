@@ -65,7 +65,7 @@ def test_family_and_per_mutant_campaigns_record_identically(workload):
     reference = _records(
         designs,
         assertions,
-        MutationConfig(limit_per_design=6, family_batching=False, witness_screen=False),
+        MutationConfig(limit_per_design=6, family_batching=False),
     )
     assert family
     assert family == reference
