@@ -53,8 +53,8 @@ AssertionLike = Union[str, Assertion]
 #: One unit of schedulable work: a design plus the assertions queued for it.
 VerificationJob = Tuple[Design, Sequence[AssertionLike]]
 #: One family unit: the golden design, its mutants (anything exposing
-#: ``.design`` and ``.witness``, e.g. :class:`repro.mutate.operators.Mutant`),
-#: and the assertions to score every mutant against.
+#: ``.design``, e.g. :class:`repro.mutate.operators.Mutant`), and the
+#: assertions to score every mutant against.
 FamilyJob = Tuple[Design, Sequence, Sequence[AssertionLike]]
 
 _WORKERS_ENV_VAR = "REPRO_FPV_WORKERS"

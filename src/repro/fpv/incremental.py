@@ -58,7 +58,7 @@ from .engine import (
     reachability_key,
 )
 from .result import ProofResult
-from .table import ObligationTable, PackedStateIndex
+from .table import ObligationTable, PackedStateIndex, can_lower
 from .transition import ReachabilityResult, TransitionSystem, walk
 
 __all__ = ["FamilyStats", "check_family"]
@@ -115,13 +115,13 @@ class _FamilySweep:
             dtype=np.int64,
         )
         self.packed_grid = kernel.pack_input_grid(grid)
-        self._index = PackedStateIndex(
+        self.index = PackedStateIndex(
             self.packed_states, sum(kernel.state_widths)
         )
 
     def golden_rows(self, packed: np.ndarray) -> np.ndarray:
         """Golden reachable index of each packed state, or -1."""
-        return self._index.indices(packed)
+        return self.index.indices(packed)
 
     def member_step(self, member: int):
         """``step_packed`` of one family member (its id on every lane)."""
@@ -278,30 +278,31 @@ class _MemberTable(ObligationTable):
 
     Rows are the member's reachable states in its own reachability order;
     every lane is stepped through the family kernel with this member's id.
-    :meth:`adopt` fills the next-state table and truth matrices from the
-    family sweep: states inside the golden set gather their precomputed
-    rows, escape states carry the rows computed during the delta walk.
+    The next-state table and truth matrices come from the family sweep:
+    states inside the golden set gather their precomputed rows, escape
+    states carry the rows computed during the delta walk.
     """
 
-    def __init__(self, sweep: _FamilySweep, member: int, order_packed) -> None:
+    def __init__(
+        self,
+        sweep: _FamilySweep,
+        member: int,
+        order_packed,
+        extra_rows: Dict[int, np.ndarray],
+        next_packed: np.ndarray,
+        truths: Dict[Tuple[int, object], np.ndarray],
+        exprs: Sequence,
+        index: Optional[PackedStateIndex] = None,
+    ) -> None:
         super().__init__(
             sweep.kernel,
             sweep.member_step(member),
             np.asarray(order_packed, dtype=np.int64),
             sweep.packed_grid,
             sweep.system.model.signals,
+            index,
         )
-        self._sweep = sweep
-        self._member = member
-
-    def adopt(
-        self,
-        extra_rows: Dict[int, np.ndarray],
-        next_packed: np.ndarray,
-        truths: Dict[Tuple[int, object], np.ndarray],
-        exprs: Sequence,
-    ) -> "_MemberTable":
-        golden_rows = self._sweep.golden_rows(self._packed_states)
+        golden_rows = sweep.golden_rows(self._packed_states)
         inside = golden_rows >= 0
         gather = golden_rows[inside]
         escapes = self._packed_states[~inside].tolist()
@@ -311,15 +312,14 @@ class _MemberTable(ObligationTable):
         if escapes:
             rows[~inside] = np.stack([extra_rows[packed] for packed in escapes])
             if exprs:
-                _, escape_truths = self._sweep.member_rows(self._member, escapes, exprs)
+                _, escape_truths = sweep.member_rows(member, escapes, exprs)
         self._set_next_packed(rows)
         for expr in exprs:
             matrix = np.empty(self.shape, dtype=bool)
-            matrix[inside] = truths[(self._member, expr)][gather]
+            matrix[inside] = truths[(member, expr)][gather]
             if escapes:
                 matrix[~inside] = escape_truths[expr]
             self._truth[expr] = matrix
-        return self
 
 
 # ---------------------------------------------------------------------------
@@ -436,12 +436,13 @@ def _check_family_fast(
     )
     # (position, assertion indices, reachability) left to the member's engine.
     sim_pending: List[Tuple[int, List[int], Optional[ReachabilityResult]]] = []
-    if golden_reach is None or not golden_reach.complete:
+    if not bound:
+        pass  # every verdict is already a parse or bind error
+    elif golden_reach is None or not golden_reach.complete:
         # The golden set cannot seed the delta walk: the member engines check
         # everything, with falsification traces still batched below.
-        if bound:
-            indices = [index for index, _ in bound]
-            sim_pending = [(position, indices, None) for position in family_positions]
+        indices = [index for index, _ in bound]
+        sim_pending = [(position, indices, None) for position in family_positions]
     else:
         sim_pending = _sweep_members(
             golden_engine, mutants, bound, config, reachability_cache,
@@ -487,7 +488,6 @@ def _sweep_members(
     sweep = _FamilySweep(system, lowering.kernel, golden_reach)
 
     # -- obligations on the golden design (member 0) ----------------------------
-    golden_table = _MemberTable(sweep, 0, sweep.packed_states)
     golden_obligations: Dict[int, _Obligation] = {}
     obligation_errors: Dict[int, str] = {}
     for index, assertion in bound:
@@ -499,7 +499,7 @@ def _sweep_members(
         except HdlError as exc:
             obligation_errors[index] = f"elaboration error: {exc}"
             continue
-        if all(golden_table.can_lower(expr) for expr in obligation.term_exprs()):
+        if all(can_lower(sweep.kernel, expr) for expr in obligation.term_exprs()):
             golden_obligations[index] = obligation
     exprs = list(
         dict.fromkeys(
@@ -511,7 +511,10 @@ def _sweep_members(
     # Golden tables back the memo comparisons for every member.
     golden_next, golden_truths = sweep.sweep([0], exprs)
     golden_next0 = golden_next[0]
-    golden_table.adopt({}, golden_next0, golden_truths, exprs)
+    golden_table = _MemberTable(
+        sweep, 0, sweep.packed_states, {}, golden_next0, golden_truths, exprs,
+        index=sweep.index,
+    )
     for obligation in golden_obligations.values():
         golden_engine._run_table_obligation(obligation, golden_table)
 
@@ -561,8 +564,9 @@ def _sweep_members(
                 ):
                     if obligation_g.witness is not None and member_table is None:
                         member_table = _MemberTable(
-                            sweep, member, reach.order_packed
-                        ).adopt(reach.extra_rows, next_packed[member], truths, exprs)
+                            sweep, member, reach.order_packed, reach.extra_rows,
+                            next_packed[member], truths, exprs,
+                        )
                     outcome = _memo_result(
                         obligation_g, member_table, reach.result, mutant.name, system
                     )
@@ -574,8 +578,9 @@ def _sweep_members(
                     continue
                 if member_table is None:
                     member_table = _MemberTable(
-                        sweep, member, reach.order_packed
-                    ).adopt(reach.extra_rows, next_packed[member], truths, exprs)
+                        sweep, member, reach.order_packed, reach.extra_rows,
+                        next_packed[member], truths, exprs,
+                    )
                 obligation_m = _Obligation(index, assertion, _null_term_fn)
                 golden_engine._run_table_obligation(obligation_m, member_table)
                 if obligation_m.budget_exhausted:

@@ -71,6 +71,15 @@ class PackedStateIndex:
         )
 
 
+def can_lower(kernel, expr: ast.Expr) -> bool:
+    """True when ``expr`` compiles to a vector kernel of ``kernel``."""
+    try:
+        kernel.exprs.compile(expr)
+    except (UnsupportedForVectorization, EvalError):
+        return False
+    return True
+
+
 class ObligationTable:
     """Dense (states × inputs) matrices over one design's step function.
 
@@ -87,6 +96,8 @@ class ObligationTable:
     lanes; :meth:`ensure_terms` sweeps it over the whole table for any
     truth matrix (or the next-state index) not supplied up front, and
     :meth:`env_rows` re-steps the few lanes of a counterexample path.
+    ``index`` reuses a caller's :class:`PackedStateIndex` over
+    ``packed_states`` instead of building another.
     """
 
     def __init__(
@@ -96,13 +107,18 @@ class ObligationTable:
         packed_states: np.ndarray,
         packed_grid: np.ndarray,
         signals: Sequence[str],
+        index: Optional[PackedStateIndex] = None,
     ) -> None:
         self._kernel = kernel
         self._step = step
         self._packed_states = packed_states
         self._packed_grid = packed_grid
         self._signals = list(signals)
-        self._index = PackedStateIndex(packed_states, sum(kernel.state_widths))
+        self._index = (
+            index
+            if index is not None
+            else PackedStateIndex(packed_states, sum(kernel.state_widths))
+        )
         self.num_states = len(packed_states)
         self.num_inputs = len(packed_grid)
         self._next_index: Optional[np.ndarray] = None
@@ -116,11 +132,7 @@ class ObligationTable:
 
     def can_lower(self, expr: ast.Expr) -> bool:
         """True when ``expr`` compiles to a vector kernel."""
-        try:
-            self._kernel.exprs.compile(expr)
-        except (UnsupportedForVectorization, EvalError):
-            return False
-        return True
+        return can_lower(self._kernel, expr)
 
     def truth(self, expr: ast.Expr) -> np.ndarray:
         """Boolean (states × inputs) truth matrix for a lowered term."""
