@@ -918,44 +918,34 @@ class FormalEngine:
 
         All assertions checked against this design share the same traces, so
         batch verification of a candidate set costs one simulation per seed
-        rather than one per assertion.  On the vectorized backend every
-        seed's trace is stepped as one lane of a single batch; the traces
-        are bit-for-bit identical to the per-seed scalar runs.
+        rather than one per assertion.  On the vectorized backend, where
+        :func:`~repro.sim.vector.batch_simulation_pays`, every seed's trace
+        is a lane of one batch; elsewhere each seed runs on the scalar
+        simulator.  The traces are bit-for-bit identical either way.
         """
         if self._fallback_traces is None:
             stimuli = fallback_stimuli(self._config)
-            kernel = self._system.vector_kernel()
-            use_batch = False
-            if kernel is not None and self._backend == VECTORIZED:
-                from ..sim.vector import comb_cycle_independent, simulate_batch
+            cycles = self._config.fallback_cycles
+            kernel = None
+            if self._backend == VECTORIZED:
+                from ..sim.vector import PLAN_SOA, batch_simulation_pays, simulate_batch
 
-                # Batched stepping wins when the lane count is meaningful:
-                # cycle-independent combinational designs settle the whole
-                # seeds × cycles grid at once, and wide seed counts amortise
-                # the kernel dispatch.  A 2-3 lane sequential batch would pay
-                # more per array op than the compiled scalar loop — that
-                # holds for every lowering plan, multi-limb included.
-                use_batch = (
-                    comb_cycle_independent(self._design.model)
-                    or self._config.fallback_seeds >= 8
-                )
-            if use_batch:
-                self._fallback_traces = simulate_batch(
-                    self._design.model,
-                    stimuli,
-                    self._config.fallback_cycles,
-                    kernel,
-                )
-            else:
-                traces = []
-                for stimulus in stimuli:
-                    simulator = Simulator(self._design, backend=self._backend)
-                    traces.append(
-                        simulator.run(
-                            cycles=self._config.fallback_cycles, stimulus=stimulus
-                        )
+                # SoA is the plan batching pays on soonest: a design the rule
+                # refuses even as SoA is decided without lowering a kernel.
+                model = self._design.model
+                if batch_simulation_pays(model, PLAN_SOA, len(stimuli)):
+                    kernel = self._system.vector_kernel()
+                if kernel is not None and batch_simulation_pays(
+                    model, kernel.plan_name, len(stimuli)
+                ):
+                    self._fallback_traces = simulate_batch(model, stimuli, cycles, kernel)
+            if self._fallback_traces is None:
+                self._fallback_traces = [
+                    Simulator(self._design, backend=self._backend).run(
+                        cycles=cycles, stimulus=stimulus
                     )
-                self._fallback_traces = traces
+                    for stimulus in stimuli
+                ]
         return self._fallback_traces
 
     def _check_by_simulation(self, assertion: Assertion) -> ProofResult:

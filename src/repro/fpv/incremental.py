@@ -31,8 +31,10 @@ Mutants that cannot ride the family kernel — structure mismatches,
 un-lowerable variant expressions, or a non-vectorized backend — are checked
 by that per-mutant engine directly, and so are assertions the family path
 leaves undecided (an incomplete golden reachable set, an exhausted budget,
-a term the family kernel cannot lower): those members still get their
-falsification traces batched through the family kernel.
+a term the family kernel cannot lower).  Those members' falsification
+traces are batched through the family kernel where
+:func:`~repro.sim.vector.batch_simulation_pays`; otherwise each member's
+engine simulates its own on the compiled scalar loop.
 """
 
 from __future__ import annotations
@@ -45,7 +47,9 @@ from ..hdl.design import Design
 from ..hdl.errors import HdlError
 from ..sim.compile import VECTORIZED, default_backend
 from ..sim.eval import EvalError
-from ..sim.vector import PLAN_MULTILIMB, FamilyKernel, FamilyLowering, lower_family
+from ..sim.vector import (
+    PLAN_MULTILIMB, FamilyKernel, FamilyLowering, batch_simulation_pays, lower_family
+)
 from ..sva.model import Assertion
 from .engine import (
     EngineConfig,
@@ -449,19 +453,23 @@ def _check_family_fast(
             lowering, family_positions, golden_reach, member_results, stats,
         )
 
-    # -- leftover assertions: per-member engines with batched traces ------------
-    if sim_pending:
+    # -- leftover assertions: per-member engines, traces batched where it pays --
+    traces: Dict[int, List] = {}
+    if sim_pending and batch_simulation_pays(
+        golden.model, lowering.plan, len(sim_pending) * config.fallback_seeds
+    ):
         traces = _family_fallback_traces(
             lowering, [position for position, _, _ in sim_pending], config
         )
-        for position, indices, reach_result in sim_pending:
-            engine = FormalEngine(mutants[position], config, reachability_cache)
-            if reach_result is not None:
-                engine.preload_reachability(reach_result)
+    for position, indices, reach_result in sim_pending:
+        engine = FormalEngine(mutants[position], config, reachability_cache)
+        if reach_result is not None:
+            engine.preload_reachability(reach_result)
+        if position in traces:
             engine.preload_fallback_traces(traces[position])
-            verdicts = engine.check_batch([items[i] for i in indices])
-            for index, verdict in zip(indices, verdicts):
-                member_results[position][index] = verdict
+        verdicts = engine.check_batch([items[i] for i in indices])
+        for index, verdict in zip(indices, verdicts):
+            member_results[position][index] = verdict
 
     for position in family_positions:
         results[position] = member_results[position]  # type: ignore[assignment]

@@ -148,35 +148,39 @@ class SemanticContext:
         into one :class:`~repro.sim.vector.FamilyKernel` and compared against
         the golden design together — every (reachable state × input) pair,
         or every simulated cycle, for all of them in one batched kernel pass.
-        Candidates the lowering rejects fall back to the scalar
-        :meth:`difference`.  Witnesses (signal, values, location, method) are
-        bit-identical to the scalar comparison either way.
+        The lockstep comparison batches only where
+        :func:`~repro.sim.vector.batch_simulation_pays`.  Other candidates,
+        and those the lowering rejects, run the scalar :meth:`difference`.
+        Witnesses (signal, values, location, method) are bit-identical to
+        the scalar comparison either way.
         """
-        results: List[Optional[DifferenceWitness]] = [None] * len(mutants)
-        if not mutants:
-            return results
         try:
-            from ..sim.vector import lower_family
+            from ..sim.vector import PLAN_SOA, batch_simulation_pays, lower_family
         except ImportError:  # pragma: no cover - numpy not installed
-            lower_family = None
-        lowering = None
-        if lower_family is not None:
+            return [self.difference(mutant) for mutant in mutants]
+
+        def batch_pays(plan: str, count: int) -> bool:
+            return self._sweep_feasible or batch_simulation_pays(
+                self.golden.model, plan, count * self._seeds
+            )
+
+        # SoA is the plan batching pays on soonest: a wave the rule refuses
+        # even as SoA is decided without lowering a family kernel.
+        found: Dict[int, Optional[DifferenceWitness]] = {}
+        if mutants and batch_pays(PLAN_SOA, len(mutants)):
             lowering = lower_family(self.golden.model, [mutant.model for mutant in mutants])
-        handled: set = set()
-        if lowering is not None:
-            accepted = lowering.accepted()
-            if accepted:
-                if self._sweep_feasible:
-                    found = self._sweep_differences_batched(lowering, accepted)
-                else:
-                    found = self._simulation_differences_batched(lowering, accepted, mutants)
-                for position in accepted:
-                    results[position] = found.get(position)
-                handled = set(accepted)
-        for position, mutant in enumerate(mutants):
-            if position not in handled:
-                results[position] = self.difference(mutant)
-        return results
+            accepted = lowering.accepted() if lowering is not None else []
+            if accepted and batch_pays(lowering.plan, len(accepted)):
+                batched = (
+                    self._sweep_differences_batched
+                    if self._sweep_feasible
+                    else self._simulation_differences_batched
+                )(lowering, accepted)
+                found = {position: batched.get(position) for position in accepted}
+        return [
+            found[position] if position in found else self.difference(mutant)
+            for position, mutant in enumerate(mutants)
+        ]
 
     def _sweep_differences_batched(self, lowering, accepted) -> Dict[int, DifferenceWitness]:
         """Complete reachable-space comparison of many mutants in one pass."""
@@ -256,7 +260,7 @@ class SemanticContext:
         return found
 
     def _simulation_differences_batched(
-        self, lowering, accepted, mutants: Sequence[Design]
+        self, lowering, accepted
     ) -> Dict[int, DifferenceWitness]:
         """Bounded lockstep comparison with all mutant traces in one batch."""
         stimuli = [self._stimulus(seed) for seed in range(self._seeds)]

@@ -955,7 +955,8 @@ class VectorKernel:
     # -- the batched transition -----------------------------------------------
 
     def step_batch(
-        self, state_cols: Cols, input_cols: Cols, lanes: int
+        self, state_cols: Cols, input_cols: Cols, lanes: int,
+        members: Optional[np.ndarray] = None,
     ) -> Tuple[Cols, Cols]:
         """Advance a batch of (state, input) lanes by one clock.
 
@@ -963,8 +964,11 @@ class VectorKernel:
         settled pre-clock environment (identical to
         :meth:`~repro.fpv.transition.TransitionSystem.settle`) and
         ``next_state_cols`` holds the post-clock register columns.
+        ``members`` is a family kernel's per-lane member-id column.
         """
         env = self.blank_env(lanes)
+        if members is not None:
+            env[MUTANT_COLUMN] = np.asarray(members, dtype=np.int64)
         for name in self.state_names:
             env[name] = self.lift_state(name, state_cols[name])
         for name in self.input_names:
@@ -977,7 +981,8 @@ class VectorKernel:
         return env, self.next_state_columns(env, lanes)
 
     def step_packed(
-        self, packed_states: np.ndarray, packed_inputs: np.ndarray
+        self, packed_states: np.ndarray, packed_inputs: np.ndarray,
+        members: Optional[np.ndarray] = None,
     ) -> Tuple[Cols, np.ndarray]:
         """`step_batch` over bit-packed state/input lanes."""
         lanes = len(packed_states)
@@ -985,6 +990,7 @@ class VectorKernel:
             unpack_columns(packed_states, self.state_names, self.state_widths),
             unpack_columns(packed_inputs, self.input_names, self.input_widths),
             lanes,
+            members,
         )
         return env, self._pack_next(next_cols, lanes)
 
@@ -1340,97 +1346,27 @@ class _FamilyMixin:
 
     # -- family environments ----------------------------------------------------
 
-    def family_step_batch(
-        self,
-        members: np.ndarray,
-        state_cols: Cols,
-        input_cols: Cols,
-        lanes: int,
-    ) -> Tuple[Cols, Cols]:
-        """:meth:`step_batch` with a per-lane family-member id column."""
-        env = self.blank_env(lanes)
-        env[MUTANT_COLUMN] = np.asarray(members, dtype=np.int64)
-        for name in self.state_names:
-            env[name] = self.lift_state(name, state_cols[name])
-        for name in self.input_names:
-            column = input_cols.get(name)
-            if column is None:
-                continue
-            env[name] = self.lift_input(name, column, lanes)
-        self.settle(env)
-        return env, self.next_state_columns(env, lanes)
-
     def family_step_packed(
         self,
         members: np.ndarray,
         packed_states: np.ndarray,
         packed_inputs: np.ndarray,
     ) -> Tuple[Cols, np.ndarray]:
-        """`family_step_batch` over bit-packed state/input lanes."""
-        lanes = len(packed_states)
-        env, next_cols = self.family_step_batch(
-            members,
-            unpack_columns(packed_states, self.state_names, self.state_widths),
-            unpack_columns(packed_inputs, self.input_names, self.input_widths),
-            lanes,
-        )
-        return env, self._pack_next(next_cols, lanes)
+        """:meth:`step_packed` with a per-lane family-member id column."""
+        return self.step_packed(packed_states, packed_inputs, members)
 
     def family_simulate(
         self, members: Sequence[int], stimuli: Sequence, cycles: int
     ) -> List[List[Trace]]:
-        """One trace per (family member, stimulus), stepped as one batch.
+        """One trace per (family member, stimulus), split per member.
 
-        Lanes are member-major: all of member ``members[0]``'s stimuli, then
-        the next member's.  Each lane is bit-for-bit the trace the scalar
-        simulator would record for that member's design alone.
+        ``family_simulate(members, s, c)[i][j]`` is bit-for-bit the trace the
+        scalar simulator records for member ``members[i]``'s design alone
+        under ``s[j]``; :func:`simulate_batch` does the stepping.
         """
-        from .stimulus import stack_stimuli
-
-        model = self._model
-        signal_names = list(model.signals)
-        num_stimuli = len(stimuli)
-        lanes = len(members) * num_stimuli
-        stacked = stack_stimuli(stimuli, model, cycles)  # (cycles, stimuli)
-        member_col = np.repeat(np.asarray(list(members), dtype=np.int64), num_stimuli)
-
-        env = self.initial_env(lanes)
-        env[MUTANT_COLUMN] = member_col
-        if not self.settle(env):
-            raise CombinationalLoopError(
-                f"combinational logic of {model.name!r} did not settle"
-            )
-        columns: Dict[str, List[List[int]]] = {name: [] for name in signal_names}
-        sequential = bool(model.seq_processes)
-        for cycle in range(cycles):
-            for name in model.non_clock_inputs:
-                env[name] = self.lift_input(
-                    name, np.tile(stacked[name][cycle], len(members)), lanes
-                )
-            if not self.settle(env):
-                raise CombinationalLoopError(
-                    f"combinational logic of {model.name!r} did not settle"
-                )
-            for name in signal_names:
-                columns[name].append(self.column_values(env, name))
-            if sequential:
-                next_cols = self.next_state_columns(env, lanes)
-                env.update(next_cols)
-                if not self.settle(env):
-                    raise CombinationalLoopError(
-                        f"combinational logic of {model.name!r} did not settle"
-                    )
-        traces: List[List[Trace]] = []
-        for position in range(len(members)):
-            member_traces = []
-            for stimulus_index in range(num_stimuli):
-                lane = position * num_stimuli + stimulus_index
-                trace = Trace(signals=list(signal_names), design_name=model.name)
-                for name in signal_names:
-                    trace.data[name] = [row[lane] for row in columns[name]]
-                member_traces.append(trace)
-            traces.append(member_traces)
-        return traces
+        traces = simulate_batch(self._model, stimuli, cycles, self, members=members)
+        count = len(stimuli)
+        return [traces[row * count : (row + 1) * count] for row in range(len(members))]
 
 
 class FamilyKernel(_FamilyMixin, VectorKernel):
@@ -1554,21 +1490,58 @@ def comb_cycle_independent(model: RtlModel) -> bool:
     return all(acyclic(name) for name in supports)
 
 
+#: Most lanes one flat settle of a cycle-independent batch holds.  Chunks
+#: take whole members, so one member's stimuli × cycles are never split.
+_FLAT_LANE_CAP = 1 << 16
+
+#: Fewest lanes at which a cycle-stepped SoA batch beats running each lane
+#: on the compiled scalar simulator.
+_BATCH_MIN_LANES = 16
+
+
+def batch_simulation_pays(model: RtlModel, plan: str, lanes: int) -> bool:
+    """Whether :func:`simulate_batch` beats one compiled scalar run per lane.
+
+    Cycle-independent designs settle as one flat batch and always pay.
+    Cycle-stepped batches pay only on the SoA plan from
+    :data:`_BATCH_MIN_LANES` lanes on (0.53–1.04× the scalar loop at 16
+    lanes, 1.2–1.95× at 32, up to 2.95× at 64); multi-limb stepping lost to
+    the scalar loop on every sequential wide design at 2–32 lanes.
+    """
+    if comb_cycle_independent(model):
+        return True
+    return plan == PLAN_SOA and lanes >= _BATCH_MIN_LANES
+
+
+def _settle_or_raise(kernel: VectorKernel, env: Cols, design_name: str) -> None:
+    if not kernel.settle(env):
+        raise CombinationalLoopError(
+            f"combinational logic of {design_name!r} did not settle"
+        )
+
+
 def simulate_batch(
     model: RtlModel,
     stimuli: Sequence,
     cycles: int,
     kernel: Optional[VectorKernel] = None,
+    members: Optional[Sequence[int]] = None,
 ) -> List[Trace]:
     """Run one trace per stimulus, stepping all lanes as one batch.
 
     Bit-for-bit equivalent to running ``Simulator(model).run(cycles, s)``
     once per stimulus: the per-cycle snapshot is the settled pre-edge
-    environment, exactly as the scalar simulator records it.  Sequential
-    designs batch one lane per stimulus and advance cycle by cycle;
-    cycle-independent combinational designs (see
-    :func:`comb_cycle_independent`) settle every (stimulus, cycle) pair of
-    the whole run as one flat batch.
+    environment, exactly as the scalar simulator records it.
+
+    ``members`` runs every stimulus once per listed member of a family
+    ``kernel``; lanes and the returned traces are member-major, all of
+    ``members[0]``'s stimuli first.  Mutation variants only rewrite
+    expressions of the golden ``model``, so a family shares its cycle
+    independence.  Sequential designs advance one lane per (member,
+    stimulus) cycle by cycle; cycle-independent ones (see
+    :func:`comb_cycle_independent`) settle every (member, stimulus, cycle)
+    lane as one flat batch, chunked by whole members to at most
+    :data:`_FLAT_LANE_CAP` lanes per settle.
     """
     from .stimulus import stack_stimuli
 
@@ -1580,58 +1553,61 @@ def simulate_batch(
     design_name = model.name
     signal_names = list(model.signals)
     num_stimuli = len(stimuli)
-    stacked = stack_stimuli(stimuli, model, cycles)  # (cycles, lanes) per input
+    stacked = stack_stimuli(stimuli, model, cycles)  # (cycles, stimuli) per input
+    runs = [None] if members is None else list(members)
 
-    if not model.seq_processes and comb_cycle_independent(model):
-        # One settle over stimuli × cycles lanes (Fortran ravel keeps each
-        # stimulus' cycles contiguous per lane block).
-        lanes = num_stimuli * cycles
+    def start_env(chunk: List, lanes_per_member: int) -> Cols:
+        lanes = len(chunk) * lanes_per_member
         env = kernel.initial_env(lanes)
-        for name in model.non_clock_inputs:
-            env[name] = kernel.lift_input(
-                name, np.ascontiguousarray(stacked[name].ravel(order="F")), lanes
+        if members is not None:
+            env[MUTANT_COLUMN] = np.repeat(
+                np.asarray(chunk, dtype=np.int64), lanes_per_member
             )
-        if not kernel.settle(env):
-            raise CombinationalLoopError(
-                f"combinational logic of {design_name!r} did not settle"
-            )
-        flat = {name: kernel.column_values(env, name) for name in signal_names}
-        traces = []
-        for lane in range(num_stimuli):
-            trace = Trace(signals=list(signal_names), design_name=design_name)
-            for name in signal_names:
-                trace.data[name] = flat[name][lane * cycles : (lane + 1) * cycles]
-            traces.append(trace)
+        return env
+
+    def trace_of(values: Dict[str, List[int]]) -> Trace:
+        return Trace(signals=list(signal_names), data=values, design_name=design_name)
+
+    traces: List[Trace] = []
+    if comb_cycle_independent(model):
+        # Fortran ravel keeps each stimulus' cycles contiguous per lane block.
+        per_member = num_stimuli * cycles
+        flat_inputs = {
+            name: np.ascontiguousarray(stacked[name].ravel(order="F"))
+            for name in model.non_clock_inputs
+        }
+        step = max(1, _FLAT_LANE_CAP // max(per_member, 1))
+        for start in range(0, len(runs), step):
+            chunk = runs[start : start + step]
+            lanes = len(chunk) * per_member
+            env = start_env(chunk, per_member)
+            for name, column in flat_inputs.items():
+                env[name] = kernel.lift_input(name, np.tile(column, len(chunk)), lanes)
+            _settle_or_raise(kernel, env, design_name)
+            flat = {name: kernel.column_values(env, name) for name in signal_names}
+            for block in range(len(chunk) * num_stimuli):
+                lo, hi = block * cycles, (block + 1) * cycles
+                traces.append(trace_of({name: flat[name][lo:hi] for name in signal_names}))
         return traces
 
-    lanes = num_stimuli
-    env = kernel.initial_env(lanes)
-    if not kernel.settle(env):
-        raise CombinationalLoopError(
-            f"combinational logic of {design_name!r} did not settle"
-        )
+    lanes = len(runs) * num_stimuli
+    env = start_env(runs, num_stimuli)
+    _settle_or_raise(kernel, env, design_name)
     columns: Dict[str, List[List[int]]] = {name: [] for name in signal_names}
     sequential = bool(model.seq_processes)
     for cycle in range(cycles):
         for name in model.non_clock_inputs:
-            env[name] = kernel.lift_input(name, stacked[name][cycle], lanes)
-        if not kernel.settle(env):
-            raise CombinationalLoopError(
-                f"combinational logic of {design_name!r} did not settle"
+            env[name] = kernel.lift_input(
+                name, np.tile(stacked[name][cycle], len(runs)), lanes
             )
+        _settle_or_raise(kernel, env, design_name)
         for name in signal_names:
             columns[name].append(kernel.column_values(env, name))
         if sequential:
-            next_cols = kernel.next_state_columns(env, lanes)
-            env.update(next_cols)
-            if not kernel.settle(env):
-                raise CombinationalLoopError(
-                    f"combinational logic of {design_name!r} did not settle"
-                )
-    traces = []
+            env.update(kernel.next_state_columns(env, lanes))
+            _settle_or_raise(kernel, env, design_name)
     for lane in range(lanes):
-        trace = Trace(signals=list(signal_names), design_name=design_name)
-        for name in signal_names:
-            trace.data[name] = [row[lane] for row in columns[name]]
-        traces.append(trace)
+        traces.append(
+            trace_of({name: [row[lane] for row in columns[name]] for name in signal_names})
+        )
     return traces

@@ -26,6 +26,7 @@ from repro.hdl.design import Design
 from repro.mining import mine_verified_assertions
 from repro.mutate.operators import enumerate_mutants
 from repro.mutate.semantic import semantic_difference
+from repro.sim import vector
 
 _ENGINE = EngineConfig(
     max_states=2048,
@@ -277,3 +278,71 @@ def test_simulation_witness_mutant_matches_solo_engine():
     solo = FormalEngine(mutant, _BIG_ENGINE).check_batch([text])[0]
     assert solo.is_fail and solo.complete and solo.engine == "explicit-state"
     assert _proof_key(family) == _proof_key(solo)
+
+
+# ---------------------------------------------------------------------------
+# Trace routing: batched only where batch_simulation_pays
+# ---------------------------------------------------------------------------
+
+_WIDE_ENGINE = EngineConfig(**{**vars(_ENGINE), "fallback_cycles": 64})
+
+_WIDE_TEXTS = {
+    # Sequential multi-limb: member engines simulate their own traces.
+    "wide_counter128": [
+        "assert property (@(posedge clk) (wrapped == 1) |-> (gray == 0));",
+        "assert property (@(posedge clk) (rst == 1) |=> (count == 0));",
+        "assert property (@(posedge clk) (en == 1) |=> (wrapped == 0));",
+        "assert property (@(posedge clk) (count[0] == 1) |-> (gray[0] == 1));",
+    ],
+    # Cycle-independent multi-limb: one flat family settle.
+    "wide_cmp80": [
+        "assert property ((a[1] == 1) |-> (eq == 0));",
+        "assert property ((lt == 1) |-> (ge == 0));",
+        "assert property ((a[0] == 1) |=> (eq == 0));",
+        "assert property ((lt == 0) |-> (maxv == a));",
+    ],
+}
+
+
+@pytest.mark.parametrize("name, batched", [("wide_counter128", False), ("wide_cmp80", True)])
+def test_wide_family_routing_matches_solo_engines(monkeypatch, name, batched):
+    design = get_corpus("assertionbench-wide").design(name)
+    mutants, _ = enumerate_mutants(design, limit=8)
+    texts = _WIDE_TEXTS[name]
+    calls = []
+    family_simulate = vector._FamilyMixin.family_simulate
+
+    def counting(self, members, stimuli, cycles):
+        calls.append(len(members))
+        return family_simulate(self, members, stimuli, cycles)
+
+    monkeypatch.setattr(vector._FamilyMixin, "family_simulate", counting)
+    stats = FamilyStats()
+    family = check_family(
+        design, [mutant.design for mutant in mutants], texts, _WIDE_ENGINE, stats=stats
+    )
+    assert stats.family_multilimb_members == len(mutants)
+    assert bool(calls) is batched
+    statuses = set()
+    for mutant, verdicts in zip(mutants, family):
+        solo = FormalEngine(mutant.design, _WIDE_ENGINE).check_batch(texts)
+        for family_proof, solo_proof in zip(verdicts, solo):
+            assert _proof_key(family_proof) == _proof_key(solo_proof)
+            statuses.add(family_proof.status)
+    assert len(statuses) > 1, statuses  # a CEX and a bounded pass at least
+
+
+def test_unbatched_engine_lowers_no_kernel(monkeypatch):
+    """A design that will not batch its traces decides so from the model."""
+    design = get_corpus("assertionbench-wide").design("wide_counter128")
+    lowered = []
+    plan_model = vector.plan_model
+
+    def counting(model):
+        lowered.append(model.name)
+        return plan_model(model)
+
+    monkeypatch.setattr(vector, "plan_model", counting)
+    proofs = FormalEngine(design, _WIDE_ENGINE).check_batch(_WIDE_TEXTS[design.name])
+    assert all(proof.engine == "simulation" for proof in proofs)
+    assert not lowered

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import pytest
 
+from repro.bench.corpus import get_corpus
 from repro.hdl.design import Design
 from repro.mutate import (
     apply_mutation,
@@ -11,6 +12,8 @@ from repro.mutate import (
     mutation_sites,
     operator_names,
 )
+from repro.mutate.semantic import SemanticContext
+from repro.sim import vector
 
 _COUNTER = """\
 module small_counter(clk, rst, en, count, wrap);
@@ -134,3 +137,27 @@ class TestEnumerateMutants:
             rebuilt = apply_mutation(counter, mutant.operator, mutant.site)
             assert rebuilt.source == mutant.design.source
             assert mutant.mutant_id == f"{mutant.operator}@{mutant.site}"
+
+
+class TestSemanticRouting:
+    """The lockstep filter batches only where ``batch_simulation_pays``."""
+
+    @pytest.mark.parametrize("name, batched", [("wide_accum96", False), ("wide_cmp80", True)])
+    def test_differences_match_per_candidate(self, monkeypatch, name, batched):
+        design = get_corpus("assertionbench-wide").design(name)
+        candidates, _ = enumerate_mutants(design, semantic_filter=False, limit=10)
+        mutants = [candidate.design for candidate in candidates]
+        calls = []
+        family_simulate = vector._FamilyMixin.family_simulate
+
+        def counting(self, members, stimuli, cycles):
+            calls.append(len(members))
+            return family_simulate(self, members, stimuli, cycles)
+
+        monkeypatch.setattr(vector._FamilyMixin, "family_simulate", counting)
+        batch = SemanticContext(design).differences(mutants)
+        assert bool(calls) is batched
+        reference = SemanticContext(design)
+        assert batch == [reference.difference(mutant) for mutant in mutants]
+        # Both outcomes occur: witnesses and equivalent candidates.
+        assert None in batch and any(witness is not None for witness in batch)

@@ -17,11 +17,22 @@ from hypothesis import strategies as st
 
 from repro.bench.corpus import get_corpus
 from repro.mutate.operators import enumerate_mutants
+from repro.sim import vector as vector_module
 from repro.sim.simulator import Simulator
 from repro.sim.stimulus import RandomStimulus, ResetSequenceStimulus
-from repro.sim.vector import GOLDEN_MEMBER, VectorKernel, lower_family, pack_tuple
+from repro.sim.vector import (
+    GOLDEN_MEMBER,
+    VectorKernel,
+    comb_cycle_independent,
+    lower_family,
+    pack_tuple,
+)
 
-_DESIGN_NAMES = ["counter", "updown_counter4", "mod6_counter", "seq_detect_110", "mux4_w2"]
+_DESIGN_NAMES = [
+    "counter", "updown_counter4", "mod6_counter", "seq_detect_110", "mux4_w2",
+    # cycle-independent: family_simulate settles these as one flat batch
+    "barrel_shifter8", "comparator8",
+]
 
 _CORPUS = get_corpus("assertionbench")
 
@@ -120,3 +131,79 @@ def test_family_simulate_matches_scalar_simulator(lowered_families):
                 batched = traces[row][seed]
                 for cycle in range(24):
                     assert batched.row(cycle) == reference.row(cycle)
+
+
+# ---------------------------------------------------------------------------
+# The flat path: cycle-independent families settle as one batch
+# ---------------------------------------------------------------------------
+
+_STIMULI = [
+    ResetSequenceStimulus(RandomStimulus(seed=seed), reset_cycles=2) for seed in range(2)
+]
+
+
+def _family_members(name, limit=6):
+    design = _CORPUS.design(name)
+    mutants, _ = enumerate_mutants(design, limit=limit)
+    lowering = lower_family(design.model, [m.design.model for m in mutants])
+    assert lowering is not None
+    members, designs = [GOLDEN_MEMBER], [design]
+    for position, mutant in enumerate(mutants):
+        if lowering.member_ids[position] is not None:
+            members.append(lowering.member_ids[position])
+            designs.append(mutant.design)
+    assert len(members) > 2, name
+    return lowering, members, designs
+
+
+def _assert_matches_scalar(traces, designs, cycles):
+    for row, member_design in enumerate(designs):
+        for seed, stimulus in enumerate(_STIMULI):
+            reference = Simulator(member_design, backend="compiled").run(
+                cycles=cycles, stimulus=stimulus
+            )
+            assert traces[row][seed].data == reference.data, (member_design.name, seed)
+
+
+def _count_settles(monkeypatch, kernel):
+    calls = []
+    settle = kernel.settle
+
+    def counting(env, *args):
+        calls.append(kernel.env_lanes(env))
+        return settle(env, *args)
+
+    monkeypatch.setattr(kernel, "settle", counting)
+    return calls
+
+
+def test_cycle_independent_family_settles_once_per_member_chunk(monkeypatch):
+    lowering, members, designs = _family_members("barrel_shifter8")
+    calls = _count_settles(monkeypatch, lowering.kernel)
+    lowering.kernel.family_simulate(members, _STIMULI, cycles=24)
+    assert calls == [len(members) * len(_STIMULI) * 24]
+
+
+@pytest.mark.parametrize("cap_members, per_chunk", [(0.5, 1), (2.5, 2)])
+def test_flat_lane_cap_chunks_by_whole_members(monkeypatch, cap_members, per_chunk):
+    lowering, members, designs = _family_members("barrel_shifter8")
+    cycles = 24
+    per_member = len(_STIMULI) * cycles
+    # A cap below one member's lanes still settles that member whole.
+    monkeypatch.setattr(vector_module, "_FLAT_LANE_CAP", int(cap_members * per_member))
+    calls = _count_settles(monkeypatch, lowering.kernel)
+    traces = lowering.kernel.family_simulate(members, _STIMULI, cycles)
+    chunks = [members[i : i + per_chunk] for i in range(0, len(members), per_chunk)]
+    assert calls == [len(chunk) * per_member for chunk in chunks]
+    _assert_matches_scalar(traces, designs, cycles)
+
+
+def test_always_star_family_matches_on_stepped_path(monkeypatch):
+    lowering, members, designs = _family_members("mux4_w2")
+    assert designs[0].model.comb_processes
+    assert not comb_cycle_independent(designs[0].model)
+    calls = _count_settles(monkeypatch, lowering.kernel)
+    traces = lowering.kernel.family_simulate(members, _STIMULI, cycles=24)
+    # One initial settle, then one per cycle over member x stimulus lanes.
+    assert calls == [len(members) * len(_STIMULI)] * 25
+    _assert_matches_scalar(traces, designs, 24)

@@ -362,25 +362,33 @@ class TestLimbSimulation:
             assert row["maxv"] == max(values[lane], values[3 - lane])
 
 
+def _assert_family_simulate_matches_scalar(name):
+    design = get_corpus("assertionbench-wide").design(name)
+    mutants, _ = enumerate_mutants(design, limit=5)
+    assert mutants
+    lowering = lower_family(design.model, [m.design.model for m in mutants])
+    assert lowering is not None
+    assert lowering.plan == PLAN_MULTILIMB
+    members, designs = [GOLDEN_MEMBER], [design]
+    for position, mutant in enumerate(mutants):
+        if lowering.member_ids[position] is not None:
+            members.append(lowering.member_ids[position])
+            designs.append(mutant.design)
+    stimuli = [RandomStimulus(seed=seed) for seed in range(2)]
+    traces = lowering.kernel.family_simulate(members, stimuli, cycles=20)
+    for row, member_design in enumerate(designs):
+        for seed in range(2):
+            reference = Simulator(member_design).run(
+                cycles=20, stimulus=RandomStimulus(seed=seed)
+            )
+            for cycle in range(20):
+                assert traces[row][seed].row(cycle) == reference.row(cycle)
+
+
 class TestLimbFamily:
     def test_wide_family_simulate_matches_scalar(self):
-        design = get_corpus("assertionbench-wide").design("wide_accum96")
-        mutants, _ = enumerate_mutants(design, limit=5)
-        assert mutants
-        lowering = lower_family(design.model, [m.design.model for m in mutants])
-        assert lowering is not None
-        assert lowering.plan == PLAN_MULTILIMB
-        members, designs = [GOLDEN_MEMBER], [design]
-        for position, mutant in enumerate(mutants):
-            if lowering.member_ids[position] is not None:
-                members.append(lowering.member_ids[position])
-                designs.append(mutant.design)
-        stimuli = [RandomStimulus(seed=seed) for seed in range(2)]
-        traces = lowering.kernel.family_simulate(members, stimuli, cycles=20)
-        for row, member_design in enumerate(designs):
-            for seed in range(2):
-                reference = Simulator(member_design).run(
-                    cycles=20, stimulus=RandomStimulus(seed=seed)
-                )
-                for cycle in range(20):
-                    assert traces[row][seed].row(cycle) == reference.row(cycle)
+        _assert_family_simulate_matches_scalar("wide_accum96")
+
+    def test_cycle_independent_wide_family_matches_scalar(self):
+        # wide_cmp100 settles every member's seeds x cycles as one flat batch.
+        _assert_family_simulate_matches_scalar("wide_cmp100")

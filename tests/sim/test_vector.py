@@ -15,6 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.bench.corpus import get_corpus
 from repro.hdl import Design, ast
 from repro.sim import (
     CombinationalLoopError,
@@ -27,11 +28,15 @@ from repro.sim import (
     stack_stimuli,
 )
 from repro.sim.vector import (
+    PLAN_MULTILIMB,
+    PLAN_SOA,
     UnsupportedForVectorization,
     VectorKernel,
+    batch_simulation_pays,
     comb_cycle_independent,
     lower_model,
     pack_columns,
+    plan_model,
     simulate_batch,
     unpack_columns,
 )
@@ -199,8 +204,6 @@ class TestLowering:
     def test_every_corpus_design_lowers(self, corpus):
         # Since the multi-limb strategy landed, no corpus design falls back to
         # the scalar path.
-        from repro.sim.vector import plan_model
-
         for design in corpus.all_designs():
             plan = plan_model(design.model)
             assert plan.plan != "fallback", (design.name, plan.reason)
@@ -283,6 +286,24 @@ class TestBatchedSimulation:
         # name-level feedback (ripple carry reads its own carry vector):
         # conservatively treated as dependent even though bits are acyclic
         assert not comb_cycle_independent(corpus.design("rca8").model)
+
+    @pytest.mark.parametrize(
+        "corpus_name, name, lanes, pays",
+        [
+            ("assertionbench", "comparator8", 2, True),  # cycle-independent SoA
+            ("assertionbench-wide", "wide_cmp80", 2, True),  # cycle-independent limbs
+            ("assertionbench", "counter", 2, False),  # sequential SoA, few lanes
+            ("assertionbench", "counter", 15, False),
+            ("assertionbench", "counter", 16, True),  # sequential SoA, break-even
+            ("assertionbench-wide", "wide_counter128", 2, False),  # sequential limbs
+            ("assertionbench-wide", "wide_accum96", 64, False),
+        ],
+    )
+    def test_batch_simulation_routing(self, corpus_name, name, lanes, pays):
+        model = get_corpus(corpus_name).design(name).model
+        plan = plan_model(model).plan
+        assert plan == (PLAN_MULTILIMB if corpus_name.endswith("wide") else PLAN_SOA)
+        assert batch_simulation_pays(model, plan, lanes) is pays
 
     def test_combinational_loop_raises_like_scalar(self):
         source = (
