@@ -926,18 +926,18 @@ class FormalEngine:
         if self._fallback_traces is None:
             stimuli = fallback_stimuli(self._config)
             cycles = self._config.fallback_cycles
-            kernel = None
             if self._backend == VECTORIZED:
-                from ..sim.vector import PLAN_SOA, batch_simulation_pays, simulate_batch
+                from ..sim.vector import batch_simulation_pays, simulate_batch
 
-                # SoA is the plan batching pays on soonest: a design the rule
-                # refuses even as SoA is decided without lowering a kernel.
-                model = self._design.model
-                if batch_simulation_pays(model, PLAN_SOA, len(stimuli)):
+                kernel = None
+
+                def lower():
+                    nonlocal kernel
                     kernel = self._system.vector_kernel()
-                if kernel is not None and batch_simulation_pays(
-                    model, kernel.plan_name, len(stimuli)
-                ):
+                    return None if kernel is None else (kernel.plan_name, len(stimuli))
+
+                model = self._design.model
+                if batch_simulation_pays(model, len(stimuli), lower):
                     self._fallback_traces = simulate_batch(model, stimuli, cycles, kernel)
             if self._fallback_traces is None:
                 self._fallback_traces = [

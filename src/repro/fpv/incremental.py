@@ -132,7 +132,7 @@ class _FamilySweep:
 
         def step(packed_states: np.ndarray, packed_inputs: np.ndarray):
             members = np.full(len(packed_states), member, dtype=np.int64)
-            return self.kernel.family_step_packed(members, packed_states, packed_inputs)
+            return self.kernel.step_packed(packed_states, packed_inputs, members)
 
         return step
 
@@ -166,9 +166,7 @@ class _FamilySweep:
                 np.repeat(self.packed_states[start:stop], I), len(members)
             )
             inputs_tiled = np.tile(self.packed_grid, count * len(members))
-            env, nxt = self.kernel.family_step_packed(
-                member_col, states_rep, inputs_tiled
-            )
+            env, nxt = self.kernel.step_packed(states_rep, inputs_tiled, member_col)
             nxt = nxt.reshape(len(members), count, I)
             for position, member in enumerate(members):
                 next_packed[member][start:stop] = nxt[position]
@@ -455,8 +453,9 @@ def _check_family_fast(
 
     # -- leftover assertions: per-member engines, traces batched where it pays --
     traces: Dict[int, List] = {}
+    lanes = len(sim_pending) * config.fallback_seeds
     if sim_pending and batch_simulation_pays(
-        golden.model, lowering.plan, len(sim_pending) * config.fallback_seeds
+        golden.model, lanes, lambda: (lowering.plan, lanes)
     ):
         traces = _family_fallback_traces(
             lowering, [position for position, _, _ in sim_pending], config

@@ -86,7 +86,7 @@ class ObligationTable:
     The one table view behind every exhaustive obligation: a standalone
     design's :class:`TransitionTable` steps through ``kernel.step_packed``,
     a mutant riding a family sweep (:mod:`repro.fpv.incremental`) through
-    ``family_step_packed`` with its fixed member id.  Rows are the
+    ``step_packed`` with its fixed member id as the member column.  Rows are the
     reachable states in reachability order (``packed_states``), columns
     the input grid.  The obligation runners in :mod:`repro.fpv.engine` only
     ever touch this interface, so a mutant's obligations run on exactly the

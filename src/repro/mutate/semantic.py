@@ -155,28 +155,31 @@ class SemanticContext:
         the scalar comparison either way.
         """
         try:
-            from ..sim.vector import PLAN_SOA, batch_simulation_pays, lower_family
+            from ..sim.vector import batch_simulation_pays, lower_family
         except ImportError:  # pragma: no cover - numpy not installed
             return [self.difference(mutant) for mutant in mutants]
 
-        def batch_pays(plan: str, count: int) -> bool:
-            return self._sweep_feasible or batch_simulation_pays(
-                self.golden.model, plan, count * self._seeds
-            )
+        lowering = None
 
-        # SoA is the plan batching pays on soonest: a wave the rule refuses
-        # even as SoA is decided without lowering a family kernel.
-        found: Dict[int, Optional[DifferenceWitness]] = {}
-        if mutants and batch_pays(PLAN_SOA, len(mutants)):
+        def lower():
+            nonlocal lowering
             lowering = lower_family(self.golden.model, [mutant.model for mutant in mutants])
             accepted = lowering.accepted() if lowering is not None else []
-            if accepted and batch_pays(lowering.plan, len(accepted)):
-                batched = (
-                    self._sweep_differences_batched
-                    if self._sweep_feasible
-                    else self._simulation_differences_batched
-                )(lowering, accepted)
-                found = {position: batched.get(position) for position in accepted}
+            return (lowering.plan, len(accepted) * self._seeds) if accepted else None
+
+        if self._sweep_feasible:  # the reachable-space sweep batches at any size
+            pays = bool(mutants) and lower() is not None
+        else:
+            pays = batch_simulation_pays(self.golden.model, len(mutants) * self._seeds, lower)
+        found: Dict[int, Optional[DifferenceWitness]] = {}
+        if pays:
+            accepted = lowering.accepted()
+            batched = (
+                self._sweep_differences_batched
+                if self._sweep_feasible
+                else self._simulation_differences_batched
+            )(lowering, accepted)
+            found = {position: batched.get(position) for position in accepted}
         return [
             found[position] if position in found else self.difference(mutant)
             for position, mutant in enumerate(mutants)
@@ -210,7 +213,7 @@ class SemanticContext:
             member_col = np.repeat(np.asarray(members, dtype=np.int64), lanes_per)
             states_rep = np.tile(np.repeat(packed_states[start:stop], num_inputs), len(members))
             inputs_tiled = np.tile(packed_grid, count * len(members))
-            env, nxt = kernel.family_step_packed(member_col, states_rep, inputs_tiled)
+            env, nxt = kernel.step_packed(states_rep, inputs_tiled, member_col)
             golden_next = nxt[:lanes_per]
             still_active = []
             for row, (position, member) in enumerate(active):

@@ -1346,15 +1346,6 @@ class _FamilyMixin:
 
     # -- family environments ----------------------------------------------------
 
-    def family_step_packed(
-        self,
-        members: np.ndarray,
-        packed_states: np.ndarray,
-        packed_inputs: np.ndarray,
-    ) -> Tuple[Cols, np.ndarray]:
-        """:meth:`step_packed` with a per-lane family-member id column."""
-        return self.step_packed(packed_states, packed_inputs, members)
-
     def family_simulate(
         self, members: Sequence[int], stimuli: Sequence, cycles: int
     ) -> List[List[Trace]]:
@@ -1495,11 +1486,14 @@ def comb_cycle_independent(model: RtlModel) -> bool:
 _FLAT_LANE_CAP = 1 << 16
 
 #: Fewest lanes at which a cycle-stepped SoA batch beats running each lane
-#: on the compiled scalar simulator.
+#: on the compiled scalar simulator, for single designs and mutant families
+#: alike.
 _BATCH_MIN_LANES = 16
 
 
-def batch_simulation_pays(model: RtlModel, plan: str, lanes: int) -> bool:
+def batch_simulation_pays(
+    model: RtlModel, lanes: int, lower: Callable[[], Optional[Tuple[str, int]]]
+) -> bool:
     """Whether :func:`simulate_batch` beats one compiled scalar run per lane.
 
     Cycle-independent designs settle as one flat batch and always pay.
@@ -1507,10 +1501,22 @@ def batch_simulation_pays(model: RtlModel, plan: str, lanes: int) -> bool:
     :data:`_BATCH_MIN_LANES` lanes on (0.53–1.04× the scalar loop at 16
     lanes, 1.2–1.95× at 32, up to 2.95× at 64); multi-limb stepping lost to
     the scalar loop on every sequential wide design at 2–32 lanes.
+
+    ``lanes`` bounds the batch before any kernel exists.  ``lower()`` lowers
+    the design (or family) and returns its plan name and the lanes the batch
+    would really hold, or ``None`` when nothing can batch.  SoA is the plan
+    batching pays on soonest, so ``lower`` runs only when ``lanes`` on the
+    SoA plan would pay: a design the rule refuses is decided from the model
+    alone and lowers no kernel.
     """
-    if comb_cycle_independent(model):
-        return True
-    return plan == PLAN_SOA and lanes >= _BATCH_MIN_LANES
+    independent = comb_cycle_independent(model)
+    if not independent and lanes < _BATCH_MIN_LANES:
+        return False
+    lowered = lower()
+    if lowered is None:
+        return False
+    plan, lanes = lowered
+    return independent or (plan == PLAN_SOA and lanes >= _BATCH_MIN_LANES)
 
 
 def _settle_or_raise(kernel: VectorKernel, env: Cols, design_name: str) -> None:

@@ -75,8 +75,8 @@ def test_family_step_matches_per_member_kernels(lowered_families, seed):
     kernel = lowering.kernel
     states, inputs = _random_lanes(kernel, rng, lanes=16)
 
-    env_golden, next_golden = kernel.family_step_packed(
-        np.full(16, GOLDEN_MEMBER, dtype=np.int64), states, inputs
+    env_golden, next_golden = kernel.step_packed(
+        states, inputs, np.full(16, GOLDEN_MEMBER, dtype=np.int64)
     )
     solo_golden = VectorKernel(design.model)
     env_ref, next_ref = solo_golden.step_packed(states, inputs)
@@ -88,8 +88,8 @@ def test_family_step_matches_per_member_kernels(lowered_families, seed):
     member = lowering.member_ids[position]
     if member is None:
         return
-    env_member, next_member = kernel.family_step_packed(
-        np.full(16, member, dtype=np.int64), states, inputs
+    env_member, next_member = kernel.step_packed(
+        states, inputs, np.full(16, member, dtype=np.int64)
     )
     solo = VectorKernel(mutants[position].design.model)
     env_solo, next_solo = solo.step_packed(states, inputs)
@@ -101,7 +101,7 @@ def test_family_step_matches_per_member_kernels(lowered_families, seed):
     members = np.asarray(
         [member if lane % 2 else GOLDEN_MEMBER for lane in range(16)], dtype=np.int64
     )
-    env_mixed, next_mixed = kernel.family_step_packed(members, states, inputs)
+    env_mixed, next_mixed = kernel.step_packed(states, inputs, members)
     expected_next = np.where(members == member, next_solo, next_ref)
     assert np.array_equal(next_mixed, expected_next)
 

@@ -301,9 +301,27 @@ class TestBatchedSimulation:
     )
     def test_batch_simulation_routing(self, corpus_name, name, lanes, pays):
         model = get_corpus(corpus_name).design(name).model
-        plan = plan_model(model).plan
-        assert plan == (PLAN_MULTILIMB if corpus_name.endswith("wide") else PLAN_SOA)
-        assert batch_simulation_pays(model, plan, lanes) is pays
+        lowered = []
+
+        def lower():
+            plan = plan_model(model).plan
+            lowered.append(plan)
+            return plan, lanes
+
+        assert batch_simulation_pays(model, lanes, lower) is pays
+        # Only a bound that would pay on the SoA plan lowers the design.
+        assert bool(lowered) is (comb_cycle_independent(model) or lanes >= 16)
+        if lowered:
+            assert lowered == [PLAN_MULTILIMB if corpus_name.endswith("wide") else PLAN_SOA]
+
+    def test_batch_simulation_routing_uses_lowered_lanes(self, corpus):
+        # The lanes the lowering reports decide, not the bound: a family
+        # whose rejected members leave too few lanes runs unbatched.
+        model = corpus.design("counter").model
+        assert not batch_simulation_pays(model, 16, lambda: (PLAN_SOA, 8))
+        assert not batch_simulation_pays(model, 16, lambda: None)
+        assert batch_simulation_pays(corpus.design("comparator8").model, 2, lambda: (PLAN_SOA, 2))
+        assert not batch_simulation_pays(corpus.design("comparator8").model, 2, lambda: None)
 
     def test_combinational_loop_raises_like_scalar(self):
         source = (
