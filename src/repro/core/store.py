@@ -40,6 +40,8 @@ All appends are flushed line-by-line; markers are the atomicity boundary.
 
 from __future__ import annotations
 
+import copy
+import functools
 import hashlib
 import json
 import os
@@ -52,6 +54,7 @@ from ..fpv.engine import ReachabilityCache, ReachabilityKey
 from ..fpv.result import Counterexample, ProofResult, ProofStatus
 from ..fpv.transition import ReachabilityResult
 from ..sva.errors import SvaError
+from ..sva.model import Assertion
 from ..sva.parser import parse_assertion
 from .metrics import AssertionOutcome, EvaluationMatrix, ModelKshotResult
 from .metrics import DesignEvaluation
@@ -124,14 +127,35 @@ def proof_to_json(proof: ProofResult) -> Dict:
     return data
 
 
+#: Distinct stored assertion texts whose parse is kept.  A mutation run
+#: loads thousands of stored verdicts over a few hundred distinct texts.
+_PARSE_MEMO_SIZE = 4096
+
+
+@functools.lru_cache(maxsize=_PARSE_MEMO_SIZE)
+def _parse_stored(text: str) -> Optional[Assertion]:
+    """Parse one stored assertion text once; ``None`` if it does not parse."""
+    try:
+        return parse_assertion(text)
+    except SvaError:
+        return None
+
+
+def _own_copy(assertion: Assertion) -> Assertion:
+    """A copy whose fields and term lists are its own (terms are frozen)."""
+    clone = copy.copy(assertion)
+    clone.antecedent = list(assertion.antecedent)
+    clone.consequent = list(assertion.consequent)
+    return clone
+
+
 def proof_from_json(data: Dict) -> ProofResult:
     assertion = None
     text = data.get("assertion")
     if text:
-        try:
-            assertion = parse_assertion(text)
-        except SvaError:
-            assertion = None
+        parsed = _parse_stored(text)
+        if parsed is not None:
+            assertion = _own_copy(parsed)
     counterexample = None
     cex = data.get("counterexample")
     if cex is not None:

@@ -194,7 +194,8 @@ class _Obligation:
     lowers them to truth *matrices* instead.
     """
 
-    __slots__ = (
+    #: Slots fixed by the assertion, shared by every :meth:`restart`.
+    _DERIVED = (
         "index",
         "assertion",
         "antecedent",
@@ -204,6 +205,8 @@ class _Obligation:
         "consequent_exprs",
         "disable_expr",
         "depth",
+    )
+    __slots__ = _DERIVED + (
         "budget_used",
         "budget_exhausted",
         "triggered",
@@ -239,6 +242,10 @@ class _Obligation:
             term_fn(assertion.disable_iff) if assertion.disable_iff is not None else None
         )
         self.depth = assertion.temporal_depth
+        self._reset()
+
+    def _reset(self) -> None:
+        """Clear the per-run state: budget, verdict, witness."""
         self.budget_used = 0
         self.budget_exhausted = False
         self.triggered = False
@@ -249,6 +256,20 @@ class _Obligation:
         #: family member's table without re-running the path search.
         self.witness_pairs: Optional[List[Tuple[int, int]]] = None
         self.error: Optional[str] = None
+
+    def restart(self) -> "_Obligation":
+        """A fresh obligation for the same assertion.
+
+        Shares every assertion-derived field (term expressions, lowered
+        kernels, depth) and starts the per-run state afresh, so a family
+        member's table run skips re-deriving what depends on the assertion
+        alone.
+        """
+        clone = _Obligation.__new__(_Obligation)
+        for name in self._DERIVED:
+            setattr(clone, name, getattr(self, name))
+        clone._reset()
+        return clone
 
     def term_exprs(self):
         """Every proposition the sweep must evaluate for this obligation."""

@@ -11,15 +11,20 @@ Everything else is the engine's own machinery: parse/bind, the exhaustive
 budget gate and the obligation runners come from
 :class:`~repro.fpv.engine.FormalEngine`, each mutant's obligations run on an
 :class:`~repro.fpv.table.ObligationTable` stepped through the family kernel
-with that mutant's id, and both BFS walks are
-:func:`~repro.fpv.transition.walk`.  On top of the shared sweep:
+with that mutant's id, and every BFS is the one packed wave walk of
+:func:`~repro.fpv.transition.walk_rounds`.  On top of the shared sweep:
 
 * **Delta reachability** — each mutant's breadth-first reachable-state walk
   reads its outgoing rows from the family's precomputed next-state tables,
   seeded from the golden reachable set: only states that escape the golden
-  set cost new kernel work.  Order, transition counts, and truncation points
-  are identical to the mutant's own BFS, and results land in the shared
-  :class:`~repro.fpv.engine.ReachabilityCache` under each member's own key.
+  set cost new kernel work.  The walks of one member chunk run in lockstep
+  rounds: each round advances every live walk by one frontier chunk, and
+  one kernel call steps all of their escape states, evaluating the
+  obligation propositions on the same lanes so the member tables never
+  step an escape state again.  Order, transition counts, and truncation
+  points are identical to the mutant's own BFS, and results land in the
+  shared :class:`~repro.fpv.engine.ReachabilityCache` under each member's
+  own key.
 * **Obligation memoisation** — the proposition truth matrices are built once
   per family; a mutant whose matrices (and next-state table) are identical
   to the golden design's inherits the golden obligation verdict outright,
@@ -63,7 +68,7 @@ from .engine import (
 )
 from .result import ProofResult
 from .table import ObligationTable, PackedStateIndex, can_lower
-from .transition import ReachabilityResult, TransitionSystem, walk
+from .transition import ReachabilityResult, TransitionSystem, walk_rounds
 
 __all__ = ["FamilyStats", "check_family"]
 
@@ -72,11 +77,6 @@ _SWEEP_CHUNK_LANES = 1 << 18
 
 #: Retained per-member table bytes before the member axis is chunked.
 _MEMBER_CHUNK_BYTES = 64 << 20
-
-
-def _null_term_fn(expr):
-    """Obligation term hook for table-only sweeps (kernels never called)."""
-    return None
 
 
 class FamilyStats:
@@ -139,59 +139,57 @@ class _FamilySweep:
     def sweep(
         self, members: Sequence[int], exprs: Sequence
     ) -> Tuple[Dict[int, np.ndarray], Dict[Tuple[int, object], np.ndarray]]:
-        """One chunked pass serving several members at once.
+        """Every golden reachable state under each of several members.
 
         Returns ``(next_packed, truths)`` where ``next_packed[member]`` is the
         (states × inputs) packed next-state table and
         ``truths[(member, expr)]`` the boolean truth matrix.
         """
-        S, I = self.num_states, self.num_inputs
+        S = self.num_states
         members = list(members)
-        kernels = [(expr, self.kernel.exprs.compile(expr)) for expr in exprs]
-        next_packed = {member: np.empty((S, I), dtype=np.int64) for member in members}
+        next_rows, truth_rows = self.rows(
+            np.tile(self.packed_states, len(members)),
+            np.repeat(np.asarray(members, dtype=np.int64), S),
+            exprs,
+        )
+        blocks = [(member, slice(k * S, (k + 1) * S)) for k, member in enumerate(members)]
+        next_packed = {member: next_rows[block] for member, block in blocks}
         truths = {
-            (member, expr): np.empty((S, I), dtype=bool)
-            for member in members
+            (member, expr): truth_rows[expr][block]
+            for member, block in blocks
             for expr in exprs
         }
-        per_state = max(len(members) * I, 1)
-        chunk_states = max(1, _SWEEP_CHUNK_LANES // per_state)
-        members_arr = np.asarray(members, dtype=np.int64)
-        for start in range(0, S, chunk_states):
-            stop = min(start + chunk_states, S)
-            count = stop - start
-            lanes_per_member = count * I
-            member_col = np.repeat(members_arr, lanes_per_member)
-            states_rep = np.tile(
-                np.repeat(self.packed_states[start:stop], I), len(members)
-            )
-            inputs_tiled = np.tile(self.packed_grid, count * len(members))
-            env, nxt = self.kernel.step_packed(states_rep, inputs_tiled, member_col)
-            nxt = nxt.reshape(len(members), count, I)
-            for position, member in enumerate(members):
-                next_packed[member][start:stop] = nxt[position]
-            for expr, expr_kernel in kernels:
-                values = self.kernel.bool_lanes(expr_kernel(env), len(member_col))
-                values = values.reshape(len(members), count, I)
-                for position, member in enumerate(members):
-                    truths[(member, expr)][start:stop] = values[position]
         return next_packed, truths
 
-    def member_rows(
-        self, member: int, packed_states: Sequence[int], exprs: Sequence
+    def rows(
+        self, packed_states: np.ndarray, members: np.ndarray, exprs: Sequence
     ) -> Tuple[np.ndarray, Dict[object, np.ndarray]]:
-        """Next rows + truth rows for states outside the golden set."""
+        """Next rows + truth rows of states, each under its own member id.
+
+        Row ``k`` steps ``packed_states[k]`` over the whole input grid as
+        member ``members[k]``, so one call serves several members — the
+        family sweep, or the escape states of every member walked in a
+        lockstep round.  Kernel calls are split only past the lane cap.
+        """
         count = len(packed_states)
         num_inputs = self.num_inputs
-        lanes = count * num_inputs
-        states_rep = np.repeat(np.asarray(packed_states, dtype=np.int64), num_inputs)
-        inputs_tiled = np.tile(self.packed_grid, count)
-        env, nxt = self.member_step(member)(states_rep, inputs_tiled)
-        truths: Dict[object, np.ndarray] = {}
-        for expr in exprs:
-            values = self.kernel.bool_lanes(self.kernel.exprs.compile(expr)(env), lanes)
-            truths[expr] = values.reshape(count, num_inputs)
-        return nxt.reshape(count, num_inputs), truths
+        kernels = [(expr, self.kernel.exprs.compile(expr)) for expr in exprs]
+        next_rows = np.empty((count, num_inputs), dtype=np.int64)
+        truths = {expr: np.empty((count, num_inputs), dtype=bool) for expr in exprs}
+        chunk_states = max(1, _SWEEP_CHUNK_LANES // max(num_inputs, 1))
+        for start in range(0, count, chunk_states):
+            stop = min(start + chunk_states, count)
+            lanes = (stop - start) * num_inputs
+            env, nxt = self.kernel.step_packed(
+                np.repeat(packed_states[start:stop], num_inputs),
+                np.tile(self.packed_grid, stop - start),
+                np.repeat(members[start:stop], num_inputs),
+            )
+            next_rows[start:stop] = nxt.reshape(-1, num_inputs)
+            for expr, expr_kernel in kernels:
+                values = self.kernel.bool_lanes(expr_kernel(env), lanes)
+                truths[expr][start:stop] = values.reshape(-1, num_inputs)
+        return next_rows, truths
 
 
 # ---------------------------------------------------------------------------
@@ -199,75 +197,132 @@ class _FamilySweep:
 # ---------------------------------------------------------------------------
 
 
-class _MemberReachability:
-    """One mutant's reachable set, walked over the family's tables."""
+class _MemberWalk:
+    """One mutant's BFS replayed over the family tables, seeded by the golden set.
+
+    A :func:`walk_rounds` generator advanced one frontier chunk per
+    lockstep round (:func:`_walk_members`).  States inside the golden
+    reachable set read their outgoing row straight from the family sweep;
+    escape states are stepped by the round's shared kernel call, and their
+    next and truth rows are kept, in expansion order, for the member's
+    obligation table.  The discovery order, transition counts, and
+    truncation points are identical to running the BFS on the mutant alone.
+    """
 
     def __init__(
         self,
-        result: ReachabilityResult,
-        order_packed: List[int],
-        extra_rows: Dict[int, np.ndarray],
-        matches_golden: bool,
-    ):
-        self.result = result
-        self.order_packed = order_packed
-        #: next-state rows of states outside the golden reachable set.
-        self.extra_rows = extra_rows
+        sweep: _FamilySweep,
+        member: int,
+        next_packed: np.ndarray,
+        max_states: int,
+        max_transitions: int,
+    ) -> None:
+        kernel = sweep.kernel
+        self.member = member
+        self._sweep = sweep
+        self._next_packed = next_packed
+        self._rounds = walk_rounds(
+            kernel.pack_state(sweep.system.initial_state()),
+            sweep.num_inputs,
+            sum(kernel.state_widths),
+            max_states,
+            max_transitions,
+        )
+        self._chunk: List[int] = next(self._rounds)
+        self._flat: Optional[np.ndarray] = None
+        self._outside: Optional[np.ndarray] = None
+        self._escape_blocks: List[Tuple[np.ndarray, Dict[object, np.ndarray]]] = []
+        #: How many escape states the walk expanded.
+        self.escape_states = 0
+        self.result: Optional[ReachabilityResult] = None
+        self.order_packed: List[int] = []
         #: True when the walk produced exactly the golden order (no escapes,
         #: no re-ordering, no truncation differences).
-        self.matches_golden = matches_golden
+        self.matches_golden = False
+
+    def gather(self) -> np.ndarray:
+        """Fill the chunk's rows from the golden tables; return its escapes."""
+        packed = np.asarray(self._chunk, dtype=np.int64)
+        rows = self._sweep.golden_rows(packed)
+        outside = rows < 0
+        flat = np.empty((len(packed), self._sweep.num_inputs), dtype=np.int64)
+        flat[~outside] = self._next_packed[rows[~outside]]
+        self._flat, self._outside = flat, outside
+        return packed[outside]
+
+    def advance(
+        self, escape_next: np.ndarray, escape_truths: Dict[object, np.ndarray]
+    ) -> bool:
+        """Send the chunk's successors; ``False`` once the walk has returned."""
+        if len(escape_next):
+            self._flat[self._outside] = escape_next
+            self._escape_blocks.append((escape_next, escape_truths))
+            self.escape_states += len(escape_next)
+        try:
+            self._chunk = self._rounds.send(self._flat.ravel())
+        except StopIteration as stop:
+            order, complete, transitions = stop.value
+            kernel = self._sweep.kernel
+            self.result = ReachabilityResult(
+                states=[kernel.unpack_state(packed) for packed in order],
+                complete=complete,
+                frontier_exhausted=complete,
+                transitions_explored=transitions,
+            )
+            self.order_packed = order
+            self.matches_golden = (
+                complete
+                and not self.escape_states
+                and order == self._sweep.packed_states.tolist()
+            )
+            return False
+        return True
+
+    def expanded_escapes(
+        self, exprs: Sequence
+    ) -> Tuple[np.ndarray, Dict[object, np.ndarray]]:
+        """Every expanded escape state's next rows and truth rows, in order.
+
+        A complete walk expands its states in discovery order, so these
+        align with the escape states of ``order_packed``.
+        """
+        return (
+            np.concatenate([rows for rows, _ in self._escape_blocks]),
+            {
+                expr: np.concatenate([truths[expr] for _, truths in self._escape_blocks])
+                for expr in exprs
+            },
+        )
 
 
-def _delta_reachability(
-    sweep: _FamilySweep,
-    member: int,
-    next_packed: np.ndarray,
-    max_states: int,
-    max_transitions: int,
-) -> _MemberReachability:
-    """Mutant BFS replayed over precomputed tables, seeded by the golden set.
+def _walk_members(sweep: _FamilySweep, walks: Sequence[_MemberWalk], exprs: Sequence) -> None:
+    """Run member walks to completion in lockstep rounds.
 
-    States inside the golden reachable set read their outgoing row straight
-    from the family sweep; escapes batch one family-kernel call per BFS
-    chunk.  :func:`walk` makes the discovery order, transition counts, and
-    truncation points identical to running the BFS on the mutant alone.
+    Each round advances every live walk by one frontier chunk and steps the
+    escape states of all of them in one :meth:`_FamilySweep.rows`
+    call, which also evaluates the obligation ``exprs`` on those lanes.
     """
-    kernel = sweep.kernel
-    extra_rows: Dict[int, np.ndarray] = {}
-
-    def successors(chunk: List[int]) -> np.ndarray:
-        packed = np.asarray(chunk, dtype=np.int64)
-        rows = sweep.golden_rows(packed)
-        inside = rows >= 0
-        flat = np.empty((len(chunk), sweep.num_inputs), dtype=np.int64)
-        flat[inside] = next_packed[rows[inside]]
-        escapes = packed[~inside].tolist()
-        if escapes:
-            escape_rows, _ = sweep.member_rows(member, escapes, ())
-            flat[~inside] = escape_rows
-            extra_rows.update(zip(escapes, escape_rows))
-        return flat.ravel()
-
-    order, complete, transitions = walk(
-        kernel.pack_state(sweep.system.initial_state()),
-        successors,
-        sweep.num_inputs,
-        sum(kernel.state_widths),
-        max_states,
-        max_transitions,
-    )
-    result = ReachabilityResult(
-        states=[kernel.unpack_state(packed) for packed in order],
-        complete=complete,
-        frontier_exhausted=complete,
-        transitions_explored=transitions,
-    )
-    matches = (
-        complete
-        and not extra_rows
-        and order == sweep.packed_states.tolist()
-    )
-    return _MemberReachability(result, order, extra_rows, matches)
+    live = list(walks)
+    while live:
+        escapes = [walk.gather() for walk in live]
+        counts = [len(states) for states in escapes]
+        next_rows = np.empty((0, sweep.num_inputs), dtype=np.int64)
+        truths: Dict[object, np.ndarray] = {}
+        if any(counts):
+            members = np.repeat(
+                np.asarray([walk.member for walk in live], dtype=np.int64), counts
+            )
+            next_rows, truths = sweep.rows(np.concatenate(escapes), members, exprs)
+        still_live = []
+        offset = 0
+        for walk, count in zip(live, counts):
+            block = slice(offset, offset + count)
+            offset += count
+            if walk.advance(
+                next_rows[block], {expr: rows[block] for expr, rows in truths.items()}
+            ):
+                still_live.append(walk)
+        live = still_live
 
 
 # ---------------------------------------------------------------------------
@@ -282,7 +337,8 @@ class _MemberTable(ObligationTable):
     every lane is stepped through the family kernel with this member's id.
     The next-state table and truth matrices come from the family sweep:
     states inside the golden set gather their precomputed rows, escape
-    states carry the rows computed during the delta walk.
+    states take the rows their delta walk stepped (``walk``; the golden
+    design has none).
     """
 
     def __init__(
@@ -290,10 +346,10 @@ class _MemberTable(ObligationTable):
         sweep: _FamilySweep,
         member: int,
         order_packed,
-        extra_rows: Dict[int, np.ndarray],
         next_packed: np.ndarray,
         truths: Dict[Tuple[int, object], np.ndarray],
         exprs: Sequence,
+        walk: Optional[_MemberWalk] = None,
         index: Optional[PackedStateIndex] = None,
     ) -> None:
         super().__init__(
@@ -307,19 +363,16 @@ class _MemberTable(ObligationTable):
         golden_rows = sweep.golden_rows(self._packed_states)
         inside = golden_rows >= 0
         gather = golden_rows[inside]
-        escapes = self._packed_states[~inside].tolist()
         rows = np.empty(self.shape, dtype=np.int64)
         rows[inside] = next_packed[gather]
         escape_truths: Dict[object, np.ndarray] = {}
-        if escapes:
-            rows[~inside] = np.stack([extra_rows[packed] for packed in escapes])
-            if exprs:
-                _, escape_truths = sweep.member_rows(member, escapes, exprs)
+        if walk is not None and walk.escape_states:
+            rows[~inside], escape_truths = walk.expanded_escapes(exprs)
         self._set_next_packed(rows)
         for expr in exprs:
             matrix = np.empty(self.shape, dtype=bool)
             matrix[inside] = truths[(member, expr)][gather]
-            if escapes:
+            if escape_truths:
                 matrix[~inside] = escape_truths[expr]
             self._truth[expr] = matrix
 
@@ -519,11 +572,21 @@ def _sweep_members(
     golden_next, golden_truths = sweep.sweep([0], exprs)
     golden_next0 = golden_next[0]
     golden_table = _MemberTable(
-        sweep, 0, sweep.packed_states, {}, golden_next0, golden_truths, exprs,
+        sweep, 0, sweep.packed_states, golden_next0, golden_truths, exprs,
         index=sweep.index,
     )
     for obligation in golden_obligations.values():
         golden_engine._run_table_obligation(obligation, golden_table)
+
+    # The engine's exhaustive-budget gate depends on the member only through
+    # its reachable count and completeness: decide it once per distinct one.
+    gate: Dict[Tuple[int, bool, int], bool] = {}
+
+    def exhaustive(index: int, assertion: Assertion, reach: ReachabilityResult) -> bool:
+        key = (index, reach.complete, reach.count)
+        if key not in gate:
+            gate[key] = golden_engine._can_check_exhaustively(assertion, reach)
+        return gate[key]
 
     # -- per-member work, chunked along the member axis -------------------------
     bytes_per_member = sweep.num_states * sweep.num_inputs * (8 + max(len(exprs), 1))
@@ -534,26 +597,30 @@ def _sweep_members(
         chunk_positions = family_positions[chunk_start : chunk_start + chunk_size]
         chunk_members = [lowering.member_ids[p] for p in chunk_positions]
         next_packed, truths = sweep.sweep(chunk_members, exprs)
-        for position, member in zip(chunk_positions, chunk_members):
-            mutant = mutants[position]
-            reach = _delta_reachability(
+        walks = [
+            _MemberWalk(
                 sweep, member, next_packed[member],
                 config.max_states, config.max_transitions,
             )
-            stats.delta_escape_states += len(reach.extra_rows)
+            for member in chunk_members
+        ]
+        _walk_members(sweep, walks, exprs)
+        for position, walk in zip(chunk_positions, walks):
+            member = walk.member
+            mutant = mutants[position]
+            reach = walk.result
+            stats.delta_escape_states += walk.escape_states
             if reachability_cache is not None:
-                reachability_cache.put(
-                    reachability_key(mutant, config), reach.result
-                )
+                reachability_cache.put(reachability_key(mutant, config), reach)
             leftover: List[int] = []
             member_table: Optional[_MemberTable] = None
-            tables_match = reach.matches_golden and np.array_equal(
+            tables_match = walk.matches_golden and np.array_equal(
                 next_packed[member], golden_next0
             )
             for index, assertion in bound:
                 # Same order as the engine: the budget gate first, then the
                 # obligation's own errors, then the table run.
-                if not golden_engine._can_check_exhaustively(assertion, reach.result):
+                if not exhaustive(index, assertion, reach):
                     leftover.append(index)
                     continue
                 if index in obligation_errors:
@@ -571,11 +638,11 @@ def _sweep_members(
                 ):
                     if obligation_g.witness is not None and member_table is None:
                         member_table = _MemberTable(
-                            sweep, member, reach.order_packed, reach.extra_rows,
-                            next_packed[member], truths, exprs,
+                            sweep, member, walk.order_packed,
+                            next_packed[member], truths, exprs, walk,
                         )
                     outcome = _memo_result(
-                        obligation_g, member_table, reach.result, mutant.name, system
+                        obligation_g, member_table, reach, mutant.name, system
                     )
                     if outcome is None:
                         leftover.append(index)  # golden exhausted its budget
@@ -585,20 +652,20 @@ def _sweep_members(
                     continue
                 if member_table is None:
                     member_table = _MemberTable(
-                        sweep, member, reach.order_packed, reach.extra_rows,
-                        next_packed[member], truths, exprs,
+                        sweep, member, walk.order_packed,
+                        next_packed[member], truths, exprs, walk,
                     )
-                obligation_m = _Obligation(index, assertion, _null_term_fn)
+                obligation_m = obligation_g.restart()
                 golden_engine._run_table_obligation(obligation_m, member_table)
                 if obligation_m.budget_exhausted:
                     leftover.append(index)
                 else:
                     member_results[position][index] = assemble_exhaustive_result(
-                        obligation_m, reach.result, mutant.name,
+                        obligation_m, reach, mutant.name,
                         system.state_names, system.input_names,
                     )
             if leftover:
-                sim_pending.append((position, leftover, reach.result))
+                sim_pending.append((position, leftover, reach))
     return sim_pending
 
 
@@ -622,7 +689,7 @@ def _memo_result(
     """
     if obligation_g.budget_exhausted:
         return None
-    clone = _Obligation(obligation_g.index, obligation_g.assertion, _null_term_fn)
+    clone = obligation_g.restart()
     clone.triggered = obligation_g.triggered
     clone.error = obligation_g.error
     clone.decided = obligation_g.decided

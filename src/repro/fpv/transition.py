@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Callable, Dict, Iterator, List, Optional, Tuple
+from typing import TYPE_CHECKING, Callable, Dict, Generator, Iterator, List, Optional, Tuple
 
 from ..hdl.design import Design
 from ..hdl.elaborate import RtlModel
@@ -393,22 +393,24 @@ _BFS_CHUNK_LANES = 1 << 18
 _BFS_MIN_VECTOR_LANES = 64
 
 
-def walk(
+def walk_rounds(
     initial: int,
-    successors: Callable[[List[int]], "np.ndarray"],
     num_inputs: int,
     state_bits: int,
     max_states: int,
     max_transitions: int,
-) -> Tuple[List[int], bool, int]:
+) -> Generator[List[int], "np.ndarray", Tuple[List[int], bool, int]]:
     """Wave BFS over packed states, order-identical to the scalar walk.
 
-    ``successors(chunk)`` returns the flat next-state array of a frontier
-    chunk: ``num_inputs`` packed next states per chunk state, in chunk
-    order.  The walk owns the visited set (a dense array at ≤ 24 state
-    bits), the discovery order, the chunking, and both truncation points,
-    so every packed BFS — one design's and a family member's delta walk —
-    returns the scalar walk's ``(order, complete, transitions explored)``.
+    A generator: it yields each frontier chunk (a list of packed states)
+    and must be sent that chunk's flat next-state array — ``num_inputs``
+    packed next states per chunk state, in chunk order.  Its return value
+    (``StopIteration.value``) is the scalar walk's ``(order, complete,
+    transitions explored)``.  The generator owns the visited set (a dense
+    array at ≤ 24 state bits), the discovery order, the chunking, and both
+    truncation points, so every packed BFS — one design's through
+    :func:`walk`, and the family members' delta walks, advanced in
+    lockstep one chunk per round — explores identically.
     """
     import numpy as np
 
@@ -444,7 +446,7 @@ def walk(
             lanes = len(chunk) * num_inputs
             allowed = max_transitions - transitions
             truncated = allowed < lanes
-            flat = successors(chunk)
+            flat = yield chunk
             if truncated:
                 flat = flat[:allowed]
             new_mask = unseen(flat)
@@ -466,6 +468,25 @@ def walk(
             transitions += lanes
         frontier = next_frontier
     return order, True, transitions
+
+
+def walk(
+    initial: int,
+    successors: Callable[[List[int]], "np.ndarray"],
+    num_inputs: int,
+    state_bits: int,
+    max_states: int,
+    max_transitions: int,
+) -> Tuple[List[int], bool, int]:
+    """:func:`walk_rounds` driven by ``successors(chunk)``, one chunk at a time."""
+    rounds = walk_rounds(initial, num_inputs, state_bits, max_states, max_transitions)
+    chunk = next(rounds)  # the frontier starts non-empty
+    while True:
+        flat = successors(chunk)
+        try:
+            chunk = rounds.send(flat)
+        except StopIteration as stop:
+            return stop.value
 
 
 def _enumerate_reachable_vectorized(

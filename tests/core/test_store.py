@@ -63,6 +63,40 @@ class TestSerialization:
         assert loaded.assertion is None
         assert loaded.reason == "no parse"
 
+    def test_stored_proof_loads_equal_and_independent(self):
+        data = proof_to_json(_cex())
+        first, second = proof_from_json(data), proof_from_json(data)
+        assert first == second
+        assert first.assertion is not second.assertion
+        first.assertion.name = "renamed"
+        first.assertion.antecedent.clear()
+        assert second.assertion.name == ""
+        assert second.assertion.antecedent
+        assert proof_from_json(data) == second
+
+    def test_stored_text_parsed_once(self, monkeypatch):
+        import repro.core.store as store
+
+        parsed = []
+
+        def counting_parse(text):
+            parsed.append(text)
+            return parse_assertion(text)
+
+        monkeypatch.setattr(store, "parse_assertion", counting_parse)
+        data = proof_to_json(_proven("(count != 11) |-> (count <= 15);"))
+        for _ in range(3):
+            proof_from_json(data)
+        assert parsed == [data["assertion"]]
+
+    def test_unparsable_stored_text_loads_without_assertion_every_time(self):
+        data = proof_to_json(_proven())
+        data["assertion"] = "assert property (@(posedge clk) count |-> );"
+        for _ in range(2):
+            loaded = proof_from_json(data)
+            assert loaded.assertion is None
+            assert loaded.status is ProofStatus.PROVEN
+
     def test_outcome_round_trip(self):
         outcome = AssertionOutcome(
             design_name="counter",

@@ -11,6 +11,7 @@ back without changing a single verdict.
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
 
 from repro.bench.corpus import get_corpus
@@ -20,13 +21,15 @@ from repro.fpv.engine import (
     ReachabilityCache,
     reachability_key,
 )
+from repro.fpv import incremental
 from repro.fpv.incremental import FamilyStats, check_family
-from repro.fpv.transition import TransitionSystem, enumerate_reachable
+from repro.fpv.transition import TransitionSystem, enumerate_reachable, walk
 from repro.hdl.design import Design
 from repro.mining import mine_verified_assertions
 from repro.mutate.operators import enumerate_mutants
 from repro.mutate.semantic import semantic_difference
 from repro.sim import vector
+from repro.sim.vector import lower_family
 
 _ENGINE = EngineConfig(
     max_states=2048,
@@ -181,6 +184,108 @@ def test_delta_reachability_matches_per_mutant_bfs(families, caps):
         assert checked
     if caps != "engine-caps":
         assert truncated, "no member walk truncated under these caps"
+
+
+def _per_member_escape_states(design, golden_states, config):
+    """Escape states one member's own :func:`walk` expands: frontier states
+    outside the golden reachable set, counted as each chunk is stepped."""
+    system = TransitionSystem(
+        design, max_input_bits=config.max_input_bits, backend="compiled"
+    )
+    ids, states = {}, []
+
+    def intern(state):
+        if state not in ids:
+            ids[state] = len(states)
+            states.append(state)
+        return ids[state]
+
+    inputs = system.input_dicts()
+    escapes = 0
+
+    def successors(chunk):
+        nonlocal escapes
+        escapes += sum(states[i] not in golden_states for i in chunk)
+        return np.asarray(
+            [intern(system.step(states[i], d).next_state) for i in chunk for d in inputs],
+            dtype=np.int64,
+        )
+
+    # Interned ids are not packed states: > 24 bits selects the set-based
+    # visited store, which accepts any int.
+    walk(intern(system.initial_state()), successors, len(inputs), 64,
+         config.max_states, config.max_transitions)
+    return escapes
+
+
+@pytest.mark.parametrize("caps", sorted(_DELTA_CAPS))
+def test_lockstep_member_walks_match_per_member_walks(families, caps, monkeypatch):
+    """Member walks advanced in lockstep, several member chunks per family
+    and members finishing in different rounds, give every member its own
+    BFS and count the same expanded escape states as per-member walks."""
+    chunks = []
+    sweep = incremental._FamilySweep.sweep
+
+    def chunked_sweep(self, members, exprs):
+        members = list(members)
+        if members == [0]:
+            # The golden sweep comes first: size the member axis to three
+            # members per chunk before it is split.
+            per_member = self.num_states * self.num_inputs * (8 + max(len(exprs), 1))
+            monkeypatch.setattr(incremental, "_MEMBER_CHUNK_BYTES", 3 * per_member)
+        else:
+            chunks.append(members)
+        return sweep(self, members, exprs)
+
+    rounds = {}
+    advance = incremental._MemberWalk.advance
+
+    def counting_advance(self, escape_next, escape_truths):
+        rounds[id(self)] = rounds.get(id(self), 0) + 1
+        return advance(self, escape_next, escape_truths)
+
+    monkeypatch.setattr(incremental._FamilySweep, "sweep", chunked_sweep)
+    monkeypatch.setattr(incremental._MemberWalk, "advance", counting_advance)
+
+    walked = escaped = 0
+    for design, mutants, texts in families:
+        golden = _golden_walk(design, _ENGINE.max_states, _ENGINE.max_transitions)
+        if not golden.complete:
+            continue
+        max_states, max_transitions = _DELTA_CAPS[caps](golden)
+        config = EngineConfig(
+            **{**vars(_ENGINE), "max_states": max_states, "max_transitions": max_transitions}
+        )
+        designs = [mutant.design for mutant in mutants]
+        chunks.clear()
+        rounds.clear()
+        cache, stats = ReachabilityCache(), FamilyStats()
+        check_family(design, designs, texts, config, cache, stats)
+        assert len(chunks) >= 2 and max(map(len, chunks)) >= 2, chunks
+        entries = cache.entries()
+        for mutant in designs:
+            scalar = enumerate_reachable(
+                TransitionSystem(
+                    mutant, max_input_bits=config.max_input_bits, backend="compiled"
+                ),
+                max_states=config.max_states,
+                max_transitions=config.max_transitions,
+            )
+            delta = entries[reachability_key(mutant, config)]
+            assert delta.states == scalar.states
+            assert delta.complete == scalar.complete
+            assert delta.frontier_exhausted == scalar.frontier_exhausted
+            assert delta.transitions_explored == scalar.transitions_explored
+        golden_states = set(golden.states)
+        accepted = lower_family(design.model, [mutant.model for mutant in designs]).accepted()
+        assert stats.delta_escape_states == sum(
+            _per_member_escape_states(designs[position], golden_states, config)
+            for position in accepted
+        )
+        walked += len(set(rounds.values())) > 1
+        escaped += stats.delta_escape_states
+    assert walked, "no family had member walks of different lengths"
+    assert escaped, "no member walk left the golden reachable set"
 
 
 def test_compiled_backend_family_falls_back_identically(families):
