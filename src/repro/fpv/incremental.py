@@ -20,11 +20,12 @@ with that mutant's id, and every BFS is the one packed wave walk of
   set cost new kernel work.  The walks of one member chunk run in lockstep
   rounds: each round advances every live walk by one frontier chunk, and
   one kernel call steps all of their escape states, evaluating the
-  obligation propositions on the same lanes so the member tables never
-  step an escape state again.  Order, transition counts, and truncation
-  points are identical to the mutant's own BFS, and results land in the
-  shared :class:`~repro.fpv.engine.ReachabilityCache` under each member's
-  own key.
+  obligation propositions on the same lanes so the member tables need not
+  step an escape state again (a walk whose rows would pass the member
+  chunk's byte budget drops them, and its table steps them once more).
+  Order, transition counts, and truncation points are identical to the
+  mutant's own BFS, and results land in the shared
+  :class:`~repro.fpv.engine.ReachabilityCache` under each member's own key.
 * **Obligation memoisation** — the proposition truth matrices are built once
   per family; a mutant whose matrices (and next-state table) are identical
   to the golden design's inherits the golden obligation verdict outright,
@@ -68,14 +69,15 @@ from .engine import (
 )
 from .result import ProofResult
 from .table import ObligationTable, PackedStateIndex, can_lower
-from .transition import ReachabilityResult, TransitionSystem, walk_rounds
+from .transition import ReachabilityResult, TransitionSystem, visited_bytes, walk_rounds
 
 __all__ = ["FamilyStats", "check_family"]
 
 #: Upper bound on family-kernel lanes per call (members × states × inputs).
 _SWEEP_CHUNK_LANES = 1 << 18
 
-#: Retained per-member table bytes before the member axis is chunked.
+#: Bytes one member chunk may hold: its sweep tables and visited sets, then
+#: the escape rows its lockstep walks keep for the member tables.
 _MEMBER_CHUNK_BYTES = 64 << 20
 
 
@@ -205,8 +207,11 @@ class _MemberWalk:
     reachable set read their outgoing row straight from the family sweep;
     escape states are stepped by the round's shared kernel call, and their
     next and truth rows are kept, in expansion order, for the member's
-    obligation table.  The discovery order, transition counts, and
-    truncation points are identical to running the BFS on the mutant alone.
+    obligation table — unless the chunk's byte budget runs out or the walk
+    ends incomplete (the budget gate then refuses the member's table), in
+    which case the walk drops them.  The discovery order, transition counts,
+    and truncation points are identical to running the BFS on the mutant
+    alone.
     """
 
     def __init__(
@@ -231,7 +236,11 @@ class _MemberWalk:
         self._chunk: List[int] = next(self._rounds)
         self._flat: Optional[np.ndarray] = None
         self._outside: Optional[np.ndarray] = None
-        self._escape_blocks: List[Tuple[np.ndarray, Dict[object, np.ndarray]]] = []
+        self._escape_blocks: Optional[
+            List[Tuple[np.ndarray, Dict[object, np.ndarray]]]
+        ] = []
+        #: Bytes of the escape rows kept for the member's table.
+        self.kept_bytes = 0
         #: How many escape states the walk expanded.
         self.escape_states = 0
         self.result: Optional[ReachabilityResult] = None
@@ -251,13 +260,26 @@ class _MemberWalk:
         return packed[outside]
 
     def advance(
-        self, escape_next: np.ndarray, escape_truths: Dict[object, np.ndarray]
+        self,
+        escape_next: np.ndarray,
+        escape_truths: Dict[object, np.ndarray],
+        keep: bool,
     ) -> bool:
-        """Send the chunk's successors; ``False`` once the walk has returned."""
+        """Send the chunk's successors; ``False`` once the walk has returned.
+
+        ``keep`` says whether the chunk's escape rows fit the budget; once
+        one chunk's do not, the walk keeps none of its rows.
+        """
         if len(escape_next):
             self._flat[self._outside] = escape_next
-            self._escape_blocks.append((escape_next, escape_truths))
             self.escape_states += len(escape_next)
+            if keep and self._escape_blocks is not None:
+                # Copies, so the round's shared row arrays are not pinned.
+                truths = {expr: rows.copy() for expr, rows in escape_truths.items()}
+                self._escape_blocks.append((escape_next.copy(), truths))
+                self.kept_bytes += escape_next.nbytes + sum(t.nbytes for t in truths.values())
+            else:
+                self.drop_rows()
         try:
             self._chunk = self._rounds.send(self._flat.ravel())
         except StopIteration as stop:
@@ -270,6 +292,8 @@ class _MemberWalk:
                 transitions_explored=transitions,
             )
             self.order_packed = order
+            if not complete:
+                self.drop_rows()
             self.matches_golden = (
                 complete
                 and not self.escape_states
@@ -278,14 +302,22 @@ class _MemberWalk:
             return False
         return True
 
+    def drop_rows(self) -> None:
+        """Free the kept escape rows; the member's table steps them again."""
+        self._escape_blocks = None
+        self.kept_bytes = 0
+
     def expanded_escapes(
         self, exprs: Sequence
-    ) -> Tuple[np.ndarray, Dict[object, np.ndarray]]:
+    ) -> Optional[Tuple[np.ndarray, Dict[object, np.ndarray]]]:
         """Every expanded escape state's next rows and truth rows, in order.
 
         A complete walk expands its states in discovery order, so these
-        align with the escape states of ``order_packed``.
+        align with the escape states of ``order_packed``.  ``None`` once the
+        walk has dropped its rows.
         """
+        if not self._escape_blocks:
+            return None
         return (
             np.concatenate([rows for rows, _ in self._escape_blocks]),
             {
@@ -295,13 +327,21 @@ class _MemberWalk:
         )
 
 
-def _walk_members(sweep: _FamilySweep, walks: Sequence[_MemberWalk], exprs: Sequence) -> None:
+def _walk_members(
+    sweep: _FamilySweep,
+    walks: Sequence[_MemberWalk],
+    exprs: Sequence,
+    keep_bytes: int,
+) -> None:
     """Run member walks to completion in lockstep rounds.
 
     Each round advances every live walk by one frontier chunk and steps the
     escape states of all of them in one :meth:`_FamilySweep.rows`
     call, which also evaluates the obligation ``exprs`` on those lanes.
+    The walks together keep at most ``keep_bytes`` of escape rows: a walk
+    whose next rows would pass it drops all of its own.
     """
+    row_bytes = sweep.num_inputs * (8 + len(exprs))
     live = list(walks)
     while live:
         escapes = [walk.gather() for walk in live]
@@ -315,13 +355,19 @@ def _walk_members(sweep: _FamilySweep, walks: Sequence[_MemberWalk], exprs: Sequ
             next_rows, truths = sweep.rows(np.concatenate(escapes), members, exprs)
         still_live = []
         offset = 0
+        kept = sum(walk.kept_bytes for walk in walks)
         for walk, count in zip(live, counts):
             block = slice(offset, offset + count)
             offset += count
+            keep = kept + count * row_bytes <= keep_bytes
+            kept -= walk.kept_bytes
             if walk.advance(
-                next_rows[block], {expr: rows[block] for expr, rows in truths.items()}
+                next_rows[block],
+                {expr: rows[block] for expr, rows in truths.items()},
+                keep,
             ):
                 still_live.append(walk)
+            kept += walk.kept_bytes
         live = still_live
 
 
@@ -338,7 +384,7 @@ class _MemberTable(ObligationTable):
     The next-state table and truth matrices come from the family sweep:
     states inside the golden set gather their precomputed rows, escape
     states take the rows their delta walk stepped (``walk``; the golden
-    design has none).
+    design has none), or are stepped again here if the walk dropped them.
     """
 
     def __init__(
@@ -366,8 +412,14 @@ class _MemberTable(ObligationTable):
         rows = np.empty(self.shape, dtype=np.int64)
         rows[inside] = next_packed[gather]
         escape_truths: Dict[object, np.ndarray] = {}
-        if walk is not None and walk.escape_states:
-            rows[~inside], escape_truths = walk.expanded_escapes(exprs)
+        if not inside.all():
+            escapes = walk.expanded_escapes(exprs) if walk is not None else None
+            if escapes is None:
+                states = self._packed_states[~inside]
+                escapes = sweep.rows(
+                    states, np.full(len(states), member, dtype=np.int64), exprs
+                )
+            rows[~inside], escape_truths = escapes
         self._set_next_packed(rows)
         for expr in exprs:
             matrix = np.empty(self.shape, dtype=bool)
@@ -578,19 +630,12 @@ def _sweep_members(
     for obligation in golden_obligations.values():
         golden_engine._run_table_obligation(obligation, golden_table)
 
-    # The engine's exhaustive-budget gate depends on the member only through
-    # its reachable count and completeness: decide it once per distinct one.
-    gate: Dict[Tuple[int, bool, int], bool] = {}
-
-    def exhaustive(index: int, assertion: Assertion, reach: ReachabilityResult) -> bool:
-        key = (index, reach.complete, reach.count)
-        if key not in gate:
-            gate[key] = golden_engine._can_check_exhaustively(assertion, reach)
-        return gate[key]
-
     # -- per-member work, chunked along the member axis -------------------------
-    bytes_per_member = sweep.num_states * sweep.num_inputs * (8 + max(len(exprs), 1))
-    chunk_size = max(1, _MEMBER_CHUNK_BYTES // max(bytes_per_member, 1))
+    # A member's fixed cost: its sweep tables and its walk's visited set.
+    bytes_per_member = sweep.num_states * sweep.num_inputs * (
+        8 + max(len(exprs), 1)
+    ) + visited_bytes(sum(sweep.kernel.state_widths), config.max_states)
+    chunk_size = max(1, _MEMBER_CHUNK_BYTES // bytes_per_member)
     sim_pending: List[Tuple[int, List[int], Optional[ReachabilityResult]]] = []
 
     for chunk_start in range(0, len(family_positions), chunk_size):
@@ -604,7 +649,8 @@ def _sweep_members(
             )
             for member in chunk_members
         ]
-        _walk_members(sweep, walks, exprs)
+        keep_bytes = max(0, _MEMBER_CHUNK_BYTES - len(chunk_members) * bytes_per_member)
+        _walk_members(sweep, walks, exprs, keep_bytes)
         for position, walk in zip(chunk_positions, walks):
             member = walk.member
             mutant = mutants[position]
@@ -620,7 +666,7 @@ def _sweep_members(
             for index, assertion in bound:
                 # Same order as the engine: the budget gate first, then the
                 # obligation's own errors, then the table run.
-                if not exhaustive(index, assertion, reach):
+                if not golden_engine._can_check_exhaustively(assertion, reach):
                     leftover.append(index)
                     continue
                 if index in obligation_errors:
@@ -664,6 +710,7 @@ def _sweep_members(
                         obligation_m, reach, mutant.name,
                         system.state_names, system.input_names,
                     )
+            walk.drop_rows()
             if leftover:
                 sim_pending.append((position, leftover, reach))
     return sim_pending

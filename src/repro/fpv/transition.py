@@ -391,6 +391,10 @@ _BFS_CHUNK_LANES = 1 << 18
 #: scalar step cost; chain-like state spaces (LFSRs, counters) whose frontier
 #: is one or two states run those slices through the memoised scalar step.
 _BFS_MIN_VECTOR_LANES = 64
+#: Widest packed state whose visited store is a dense boolean array.
+_DENSE_VISITED_BITS = 24
+#: Rough bytes per state of the set-based visited store (slot + int object).
+_SET_VISITED_BYTES = 64
 
 
 def walk_rounds(
@@ -414,7 +418,7 @@ def walk_rounds(
     """
     import numpy as np
 
-    if state_bits <= 24:
+    if state_bits <= _DENSE_VISITED_BITS:
         visited = np.zeros(1 << state_bits, dtype=bool)
         visited[initial] = True
 
@@ -468,6 +472,13 @@ def walk_rounds(
             transitions += lanes
         frontier = next_frontier
     return order, True, transitions
+
+
+def visited_bytes(state_bits: int, max_states: int) -> int:
+    """Upper bound on the bytes of one :func:`walk_rounds` visited store."""
+    if state_bits <= _DENSE_VISITED_BITS:
+        return 1 << state_bits
+    return max_states * _SET_VISITED_BYTES
 
 
 def walk(

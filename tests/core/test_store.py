@@ -84,12 +84,16 @@ class TestSerialization:
             return parse_assertion(text)
 
         monkeypatch.setattr(store, "parse_assertion", counting_parse)
+        store._parse_stored.cache_clear()
         data = proof_to_json(_proven("(count != 11) |-> (count <= 15);"))
         for _ in range(3):
             proof_from_json(data)
         assert parsed == [data["assertion"]]
 
     def test_unparsable_stored_text_loads_without_assertion_every_time(self):
+        import repro.core.store as store
+
+        store._parse_stored.cache_clear()
         data = proof_to_json(_proven())
         data["assertion"] = "assert property (@(posedge clk) count |-> );"
         for _ in range(2):

@@ -23,7 +23,7 @@ from repro.fpv.engine import (
 )
 from repro.fpv import incremental
 from repro.fpv.incremental import FamilyStats, check_family
-from repro.fpv.transition import TransitionSystem, enumerate_reachable, walk
+from repro.fpv.transition import TransitionSystem, enumerate_reachable, visited_bytes, walk
 from repro.hdl.design import Design
 from repro.mining import mine_verified_assertions
 from repro.mutate.operators import enumerate_mutants
@@ -218,6 +218,13 @@ def _per_member_escape_states(design, golden_states, config):
     return escapes
 
 
+def _member_bytes(sweep, exprs, config):
+    """A member's fixed share of the chunk budget: tables and visited set."""
+    return sweep.num_states * sweep.num_inputs * (8 + max(len(exprs), 1)) + visited_bytes(
+        sum(sweep.kernel.state_widths), config.max_states
+    )
+
+
 @pytest.mark.parametrize("caps", sorted(_DELTA_CAPS))
 def test_lockstep_member_walks_match_per_member_walks(families, caps, monkeypatch):
     """Member walks advanced in lockstep, several member chunks per family
@@ -231,8 +238,9 @@ def test_lockstep_member_walks_match_per_member_walks(families, caps, monkeypatc
         if members == [0]:
             # The golden sweep comes first: size the member axis to three
             # members per chunk before it is split.
-            per_member = self.num_states * self.num_inputs * (8 + max(len(exprs), 1))
-            monkeypatch.setattr(incremental, "_MEMBER_CHUNK_BYTES", 3 * per_member)
+            monkeypatch.setattr(
+                incremental, "_MEMBER_CHUNK_BYTES", 3 * _member_bytes(self, exprs, config)
+            )
         else:
             chunks.append(members)
         return sweep(self, members, exprs)
@@ -240,9 +248,9 @@ def test_lockstep_member_walks_match_per_member_walks(families, caps, monkeypatc
     rounds = {}
     advance = incremental._MemberWalk.advance
 
-    def counting_advance(self, escape_next, escape_truths):
+    def counting_advance(self, *args):
         rounds[id(self)] = rounds.get(id(self), 0) + 1
-        return advance(self, escape_next, escape_truths)
+        return advance(self, *args)
 
     monkeypatch.setattr(incremental._FamilySweep, "sweep", chunked_sweep)
     monkeypatch.setattr(incremental._MemberWalk, "advance", counting_advance)
@@ -286,6 +294,75 @@ def test_lockstep_member_walks_match_per_member_walks(families, caps, monkeypatc
         escaped += stats.delta_escape_states
     assert walked, "no family had member walks of different lengths"
     assert escaped, "no member walk left the golden reachable set"
+
+
+@pytest.mark.parametrize("caps", ["engine-caps", "states+1"])
+def test_member_walks_keep_escape_rows_within_chunk_budget(families, caps, monkeypatch):
+    """With every member in one chunk and room left for three escape rows,
+    the lockstep walks never keep more than that: a walk whose rows would
+    pass it drops them and its table steps them again, a truncated walk
+    keeps none, and every verdict still equals the mutant's own engine."""
+    state = {"phase": None, "budget": None, "group": []}
+    seen = {"kept": 0, "dropped": 0, "restepped": 0}
+    sweep, rows = incremental._FamilySweep.sweep, incremental._FamilySweep.rows
+    walk_members, advance = incremental._walk_members, incremental._MemberWalk.advance
+
+    def tight_sweep(self, members, exprs):
+        if list(members) == [0]:
+            row_bytes = self.num_inputs * (8 + len(exprs))
+            budget = len(designs) * _member_bytes(self, exprs, config) + 3 * row_bytes
+            monkeypatch.setattr(incremental, "_MEMBER_CHUNK_BYTES", budget)
+        state["phase"] = "sweep"
+        try:
+            return sweep(self, members, exprs)
+        finally:
+            state["phase"] = None
+
+    def counting_rows(self, *args):
+        seen["restepped"] += state["phase"] is None
+        return rows(self, *args)
+
+    def watched_walk_members(sweep_, walks, exprs, keep_bytes):
+        state.update(phase="walk", budget=keep_bytes, group=list(walks))
+        try:
+            return walk_members(sweep_, walks, exprs, keep_bytes)
+        finally:
+            state["phase"] = None
+
+    def watched_advance(self, *args):
+        live = advance(self, *args)
+        kept = sum(walk.kept_bytes for walk in state["group"])
+        assert kept <= state["budget"]
+        seen["kept"] = max(seen["kept"], kept)
+        if not live:
+            if not self.result.complete:
+                assert self.kept_bytes == 0
+            elif self.escape_states and not self.kept_bytes:
+                seen["dropped"] += 1
+        return live
+
+    monkeypatch.setattr(incremental._FamilySweep, "sweep", tight_sweep)
+    monkeypatch.setattr(incremental._FamilySweep, "rows", counting_rows)
+    monkeypatch.setattr(incremental, "_walk_members", watched_walk_members)
+    monkeypatch.setattr(incremental._MemberWalk, "advance", watched_advance)
+
+    for design, mutants, texts in families:
+        golden = _golden_walk(design, _ENGINE.max_states, _ENGINE.max_transitions)
+        if not golden.complete:
+            continue
+        max_states, max_transitions = _DELTA_CAPS[caps](golden)
+        config = EngineConfig(
+            **{**vars(_ENGINE), "max_states": max_states, "max_transitions": max_transitions}
+        )
+        designs = [mutant.design for mutant in mutants]
+        family = check_family(design, designs, texts, config, ReachabilityCache())
+        for mutant, verdicts in zip(designs, family):
+            solo = FormalEngine(mutant, config).check_batch(texts)
+            assert [_proof_key(proof) for proof in verdicts] == [
+                _proof_key(proof) for proof in solo
+            ]
+    assert seen["kept"], "no walk kept escape rows"
+    assert seen["dropped"] and seen["restepped"], seen
 
 
 def test_compiled_backend_family_falls_back_identically(families):
