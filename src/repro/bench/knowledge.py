@@ -57,10 +57,6 @@ class DesignKnowledge:
     verified_assertions: List[Assertion] = field(default_factory=list)
     mining_report: Optional[MiningReport] = None
 
-    @property
-    def has_assertions(self) -> bool:
-        return bool(self.verified_assertions)
-
 
 class DesignKnowledgeBase:
     """Lazily mine and cache verified assertions for corpus designs."""
@@ -90,9 +86,6 @@ class DesignKnowledgeBase:
         """Eagerly build knowledge for a collection of designs."""
         for design in designs:
             self.knowledge(design)
-
-    def cached_names(self) -> List[str]:
-        return sorted(self._cache)
 
     def __contains__(self, design_name: str) -> bool:
         return design_name in self._cache

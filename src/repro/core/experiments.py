@@ -220,12 +220,6 @@ class ExperimentSuite:
         """E9-E10: fine-tuned AssertionLLM accuracy."""
         return figure9_finetuned(self.finetune_campaign().matrix)
 
-    # -- observations (E11) -------------------------------------------------------------------------
-
-    def experiment_observations(self) -> List[ObservationCheck]:
-        finetuned = self.finetune_campaign().matrix if self._finetune_campaign else None
-        return all_observations(self.cots_matrix(), finetuned)
-
     # -- one-call reproduction -------------------------------------------------------------------------
 
     def run_all(self, include_finetune: bool = True) -> SuiteResults:

@@ -19,7 +19,7 @@ from ..bench.knowledge import DesignKnowledgeBase
 from ..hdl.design import Design
 from ..llm.cots import AssertionGenerator, SimulatedCotsLLM
 from ..llm.profiles import COTS_PROFILES, ModelProfile
-from .metrics import EvaluationMatrix, ModelKshotResult
+from .metrics import EvaluationMatrix
 from .pipeline import EvaluationPipeline, PipelineConfig
 from .runtime import CampaignRuntime
 from .scheduler import VerificationService
@@ -66,24 +66,6 @@ class IclEvaluator:
 
     def test_designs(self) -> List[Design]:
         return self.corpus.test_designs(limit=self.config.num_test_designs)
-
-    def evaluate_model(
-        self,
-        generator: AssertionGenerator,
-        k: int,
-        designs: Optional[Sequence[Design]] = None,
-        use_corrector: Optional[bool] = None,
-    ) -> ModelKshotResult:
-        """Evaluate one generator at one k-shot setting."""
-        designs = list(designs) if designs is not None else self.test_designs()
-        examples = self.examples.for_k(k)
-        result = ModelKshotResult(model_name=generator.name, k=k)
-        result.designs.extend(
-            self.runtime.evaluate_stream(
-                generator, designs, examples, k, use_corrector=use_corrector
-            )
-        )
-        return result
 
     def evaluate(
         self,

@@ -56,10 +56,6 @@ class AssertionOutcome:
     def failed(self) -> bool:
         return self.category == CEX
 
-    @property
-    def errored(self) -> bool:
-        return self.category == ERROR
-
 
 @dataclass
 class MetricCounts:
@@ -181,10 +177,3 @@ class EvaluationMatrix:
         for per_model in self.results.values():
             ks.update(per_model)
         return sorted(ks)
-
-    def accuracy_table(self) -> Dict[str, Dict[int, Dict[str, float]]]:
-        """Nested dict: model -> k -> {pass, cex, error} fractions."""
-        return {
-            model: {k: result.accuracy for k, result in per_model.items()}
-            for model, per_model in self.results.items()
-        }

@@ -355,7 +355,12 @@ class PersistentReachabilityCache(ReachabilityCache):
             },
             separators=_COMPACT,
         )
+        # Check, append and record under one lock, so two threads putting
+        # an equal result for the same key append one line between them.
         with self._io_lock:
+            with self._lock:
+                if self._results.get(key) == result:
+                    return  # the file already holds this exact result
             if self._handle is None:
                 self._path.parent.mkdir(parents=True, exist_ok=True)
                 prefix = "\n" if _missing_trailing_newline(self._path) else ""
@@ -364,7 +369,7 @@ class PersistentReachabilityCache(ReachabilityCache):
                     self._handle.write(prefix)
             self._handle.write(line + "\n")
             self._handle.flush()
-        super().put(key, result)
+            super().put(key, result)
 
     def close(self) -> None:
         """Close the append handle (reopened automatically on the next put)."""

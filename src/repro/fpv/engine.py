@@ -29,13 +29,16 @@ batch of one / the full batch.
 
 With the ``vectorized`` backend the sweep is *array-oriented*: the design is
 lowered to the NumPy kernel of :mod:`repro.sim.vector`, the whole reachable
-state × input grid is advanced in a handful of ``step_packed`` calls, every
-assertion proposition becomes a boolean truth matrix, and depth-0
-obligations are decided by pure array reductions.  Deeper obligations run
-the same path search as the scalar sweep but on table lookups.  Budgets,
-verdicts, and counterexample trigger cycles are identical to the scalar
-backends, which remain the reference oracles (any design or term the
-lowering rejects transparently falls back to the scalar sweep).
+state × input grid is advanced in a handful of ``step_packed`` calls, and
+every assertion proposition becomes a boolean truth matrix.  One runner
+decides every obligation on that table: a forward array pass over the truth
+matrices (:func:`_deep_plan`) yields the exact budget charge, the triggered
+flag and the refuting pairs, which decide every obligation that cannot be
+refuted and every refutable depth-0 one; only deep obligations that refute
+run the scalar sweep's path search, on table lookups.  Budgets, verdicts,
+and counterexample trigger cycles are identical to the scalar backends,
+which remain the reference oracles (any design or term the lowering rejects
+transparently falls back to the scalar sweep).
 
 Reachability results can be shared across engines and processes through a
 :class:`ReachabilityCache` keyed by design fingerprint + engine caps — warm
@@ -47,7 +50,7 @@ from __future__ import annotations
 
 import threading
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
+from typing import TYPE_CHECKING, Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
 from ..hdl.design import Design
 from ..hdl.errors import HdlError
@@ -62,6 +65,9 @@ from ..sva.parser import parse_assertion
 from .result import Counterexample, ProofResult, ProofStatus, error_result
 from .trace_check import TraceChecker
 from .transition import ReachabilityResult, State, TransitionSystem, enumerate_reachable
+
+if TYPE_CHECKING:
+    import numpy as np
 
 
 @dataclass
@@ -157,29 +163,17 @@ class _Pending:
 
     The failure only becomes a counterexample if the remaining antecedent
     terms can still match on some continuation of the path (otherwise the
-    evaluation attempt never triggers and the failure is moot).
+    evaluation attempt never triggers and the failure is moot).  ``path``
+    holds the scalar sweep's environments, or the table search's
+    (state index, input index) pairs, whose environments are only
+    materialised if the failure survives as a counterexample.
     """
 
-    __slots__ = ("term", "cycles", "completed")
+    __slots__ = ("term", "path", "completed")
 
-    def __init__(self, term: str, cycles: List[Dict[str, int]]):
+    def __init__(self, term: str, path: list):
         self.term = term
-        self.cycles = cycles
-        self.completed = False
-
-
-class _PendingPairs:
-    """Vectorized-sweep pending failure: the path as (state, input) indices.
-
-    Environments are only materialised if the failure survives as a
-    counterexample.
-    """
-
-    __slots__ = ("term", "pairs", "completed")
-
-    def __init__(self, term: str, pairs: List[Tuple[int, int]]):
-        self.term = term
-        self.pairs = pairs
+        self.path = path
         self.completed = False
 
 
@@ -445,12 +439,6 @@ class FormalEngine:
 
     # -- strategy selection ------------------------------------------------------------
 
-    def can_check_exhaustively(self, assertion: Union[str, Assertion]) -> bool:
-        """True when ``assertion`` would be proved by explicit-state search."""
-        if isinstance(assertion, str):
-            assertion = parse_assertion(assertion)
-        return self._can_check_exhaustively(assertion)
-
     def _enumerable(self) -> bool:
         """Whether explicit-state search is ever attempted on this design."""
         return (
@@ -618,111 +606,49 @@ class FormalEngine:
             self._run_table_obligation(obligation, table)
 
     def _run_table_obligation(self, obligation: _Obligation, table) -> None:
-        """Decide one obligation on a dense table (depth-0 or deep)."""
-        if obligation.depth == 0:
-            self._vec_depth0(obligation, table)
-        else:
-            self._vec_deep(obligation, table)
-
-    def _vec_depth0(self, obligation: _Obligation, table) -> None:
-        """Array-reduction fast path for single-cycle obligations.
-
-        Charging order is identical to the scalar sweep — states in
-        reachability order, the full input grid per state — so the budget
-        cutoff, the refuting (state, input) pair, and the exhaustion point
-        all match exactly.
-        """
-        import numpy as np
-
-        limit = self._config.max_path_evaluations
-        S, I = table.shape
-        eligible = np.ones(table.shape, dtype=bool)
-        if obligation.disable_expr is not None:
-            eligible &= ~table.truth(obligation.disable_expr)
-        for expr in obligation.antecedent_exprs.get(0, ()):
-            eligible &= table.truth(expr)
-        trig = eligible
-        cons_pairs = obligation.consequent_exprs.get(0, ())
-        viol = np.zeros(table.shape, dtype=bool)
-        for expr, _ in cons_pairs:
-            viol |= ~table.truth(expr)
-        viol &= eligible
-
-        total = S * I
-        if obligation.budget_used + total <= limit:
-            viol_any = viol.any(axis=1)
-            if viol_any.any():
-                s_star = int(np.argmax(viol_any))
-                obligation.budget_used += (s_star + 1) * I
-                i_star = int(np.argmax(viol[s_star]))
-                self._vec_refute_at(obligation, table, (s_star, i_star), cons_pairs)
-            else:
-                obligation.budget_used += total
-                obligation.triggered = bool(trig.any())
-            return
-
-        # Budget may run out mid-sweep: walk states, charging exactly as the
-        # scalar loop does.  Only inputs that fit the remaining budget are
-        # alive; a violation at an alive input refutes *before* any further
-        # input can trip exhaustion (the scalar sweep decides the obligation
-        # at the end of that input's iteration and stops charging), while a
-        # violation past the cutoff is never seen.
-        for s in range(S):
-            if obligation.decided or obligation.budget_exhausted:
-                break
-            remaining = limit - obligation.budget_used
-            alive = min(max(remaining, 0), I)
-            row_viol = viol[s, :alive]
-            if row_viol.any():
-                i_star = int(np.argmax(row_viol))
-                obligation.budget_used += i_star + 1
-                self._vec_refute_at(obligation, table, (s, i_star), cons_pairs)
-                break
-            obligation.budget_used += alive
-            if alive and trig[s, :alive].any():
-                obligation.triggered = True
-            if alive < I:
-                # The next input's charge pushes past the limit.
-                obligation.budget_used = limit + 1
-                obligation.budget_exhausted = True
-
-    def _vec_refute_at(
-        self, obligation: _Obligation, table, pair: Tuple[int, int], cons_pairs
-    ) -> None:
-        s, i = pair
-        failed = next(
-            text for expr, text in cons_pairs if not bool(table.truth(expr)[s, i])
-        )
-        cycles = table.env_rows([pair], self._system.observed_signals)
-        obligation.witness_pairs = [pair]
-        obligation.refute((cycles, failed))
-
-    def _vec_deep(self, obligation: _Obligation, table) -> None:
-        """Table-driven path search for multi-cycle obligations.
+        """Decide one fresh obligation on a dense table.
 
         A closed-form array pass over the truth matrices first decides
         whether any refuting path exists and what the full search would
         charge (see :func:`_deep_plan`).  Obligations with no refutation are
-        decided (or declared exhausted) straight from that plan; only
-        obligations that *do* refute — or whose refutation races the budget
-        cutoff — run the recursive sweep, which terminates at the first
-        refutation anyway.  Verdicts, witnesses, budget exhaustion, and the
-        triggered flag are identical to running the recursion everywhere.
+        decided (or declared exhausted) straight from that plan.  A
+        refutable depth-0 obligation refutes at the first refuting
+        (state, input) pair in row-major order, which is the order the
+        search charges in: pair ``f`` costs ``f + 1`` evaluations, so the
+        budget runs out first when that passes the limit.  Only deep
+        refutable obligations run the depth-first search, which stops at
+        its first refutation.  Verdicts, witnesses, budget exhaustion, and
+        the triggered flag are identical to running the search everywhere.
         """
+        import numpy as np
+
         limit = self._config.max_path_evaluations
         plan = _deep_plan(obligation, table, limit)
-        if not plan.refutable:
-            if plan.charges > limit:
-                obligation.budget_used = limit + 1
-                obligation.budget_exhausted = True
-            else:
-                obligation.budget_used = plan.charges
-                obligation.triggered = plan.triggered
+        refutable = plan.refutable
+        if refutable and obligation.depth > 0:
+            self._vec_deep_recursive(obligation, table)
             return
-        self._vec_deep_recursive(obligation, table)
+        first = int(np.argmax(plan.refuting)) if refutable else None
+        charges = plan.charges if first is None else first + 1
+        if charges > limit:
+            obligation.budget_used = limit + 1
+            obligation.budget_exhausted = True
+            return
+        obligation.budget_used = charges
+        if first is None:
+            obligation.triggered = plan.triggered
+            return
+        pair = divmod(first, table.num_inputs)
+        failed = next(
+            text
+            for expr, text in obligation.consequent_exprs[0]
+            if not table.truth(expr)[pair]
+        )
+        obligation.witness_pairs = [pair]
+        obligation.refute((table.env_rows([pair], self._system.observed_signals), failed))
 
     def _vec_deep_recursive(self, obligation: _Obligation, table) -> None:
-        """The reference depth-first sweep (used when a refutation exists).
+        """The table depth-first search (deep obligations that refute).
 
         Mirrors :meth:`_sweep` exactly (same input order, budget charges,
         pending/completion protocol) with truth-matrix lookups in place of
@@ -769,7 +695,7 @@ class FormalEngine:
         s_index: int,
         offset: int,
         path: List[Tuple[int, int]],
-        pending: Optional[_PendingPairs],
+        pending: Optional[_Pending],
         antecedent,
         consequent,
         disable,
@@ -800,11 +726,11 @@ class FormalEngine:
                 if not matched:
                     continue
             carried = pending
-            born: Optional[_PendingPairs] = None
+            born: Optional[_Pending] = None
             if carried is None and cons_here is not None:
                 for rows, text in cons_here:
                     if not rows[s_index][i]:
-                        carried = _PendingPairs(text, path + [(s_index, i)])
+                        carried = _Pending(text, path + [(s_index, i)])
                         born = carried
                         break
             if offset == depth:
@@ -832,8 +758,8 @@ class FormalEngine:
                 and not obligation.decided
                 and not obligation.budget_exhausted
             ):
-                cycles = table.env_rows(born.pairs, self._system.observed_signals)
-                obligation.witness_pairs = list(born.pairs)
+                cycles = table.env_rows(born.path, self._system.observed_signals)
+                obligation.witness_pairs = list(born.path)
                 obligation.refute((cycles, born.term))
 
     # -- the scalar sweep --------------------------------------------------------------
@@ -915,7 +841,7 @@ class FormalEngine:
                     and not obligation.decided
                     and not obligation.budget_exhausted
                 ):
-                    obligation.refute((pending.cycles, pending.term))
+                    obligation.refute((pending.path, pending.term))
 
     def _exhaustive_result(
         self, obligation: _Obligation, reachability: ReachabilityResult
@@ -1072,23 +998,29 @@ def assemble_exhaustive_result(
 
 @dataclass
 class _DeepPlan:
-    """Closed-form summary of one deep obligation's full path search.
+    """Closed-form summary of one obligation's full path search.
 
     ``charges`` is exactly what the depth-first sweep would charge if it ran
     to completion without deciding (clamped just past the budget limit, so
     overflow past the cap is indistinguishable from "exhausted" — which is
-    all the caller needs).  ``refutable`` is whether *any* completed
-    evaluation attempt fails a consequent term somewhere in the path space;
-    ``triggered`` whether any attempt completes at all.
+    all the caller needs).  ``triggered`` is whether any evaluation attempt
+    completes at all.  ``refuting`` marks the (state, input) pairs at the
+    final offset where a completing attempt carries or incurs a consequent
+    failure (``None`` when every path is gated out earlier).
     """
 
     charges: int
     triggered: bool
-    refutable: bool
+    refuting: Optional["np.ndarray"] = None
+
+    @property
+    def refutable(self) -> bool:
+        """Whether any completed attempt fails a consequent term."""
+        return self.refuting is not None and bool(self.refuting.any())
 
 
 def _deep_plan(obligation: _Obligation, table, limit: int) -> _DeepPlan:
-    """Analyse a deep obligation's whole path space with array ops.
+    """Analyse an obligation's whole path space with array ops.
 
     The sweep's DFS explores paths ``state --i0--> state' --i1--> ...`` of
     the assertion's temporal depth, gated per offset by the antecedent truth
@@ -1149,10 +1081,12 @@ def _deep_plan(obligation: _Obligation, table, limit: int) -> _DeepPlan:
             ok_attempts = gate_matrix & reach_ok[:, None]
             fail_attempts = gate_matrix & reach_fail[:, None]
             triggered = bool(ok_attempts.any() or fail_attempts.any())
-            refutable = bool(fail_attempts.any()) or (
-                fail_matrix is not None and bool((ok_attempts & fail_matrix).any())
+            refuting = (
+                fail_attempts
+                if fail_matrix is None
+                else fail_attempts | (ok_attempts & fail_matrix)
             )
-            return _DeepPlan(charges=charges, triggered=triggered, refutable=refutable)
+            return _DeepPlan(charges=charges, triggered=triggered, refuting=refuting)
 
         if next_index is None:
             next_index = np.asarray(table.next_rows(), dtype=np.int64)
@@ -1178,7 +1112,7 @@ def _deep_plan(obligation: _Obligation, table, limit: int) -> _DeepPlan:
         reach_ok, reach_fail = next_ok, next_fail
         if not reach_ok.any() and not reach_fail.any() and not counts.any():
             # Every path is gated out before reaching the final offset.
-            return _DeepPlan(charges=charges, triggered=False, refutable=False)
+            return _DeepPlan(charges=charges, triggered=False)
 
     raise AssertionError("unreachable: the final offset always returns")
 

@@ -68,13 +68,10 @@ from .engine import (
     reachability_key,
 )
 from .result import ProofResult
-from .table import ObligationTable, PackedStateIndex, can_lower
+from .table import ObligationTable, PackedStateIndex, can_lower, step_rows
 from .transition import ReachabilityResult, TransitionSystem, visited_bytes, walk_rounds
 
 __all__ = ["FamilyStats", "check_family"]
-
-#: Upper bound on family-kernel lanes per call (members × states × inputs).
-_SWEEP_CHUNK_LANES = 1 << 18
 
 #: Bytes one member chunk may hold: its sweep tables and visited sets, then
 #: the escape rows its lockstep walks keep for the member tables.
@@ -98,12 +95,12 @@ class FamilyStats:
 
 
 # ---------------------------------------------------------------------------
-# The family sweep: shared truth matrices + per-member next tables
+# The golden reachable space, packed once per family
 # ---------------------------------------------------------------------------
 
 
 class _FamilySweep:
-    """Chunked family-kernel sweep over golden reachable states × inputs."""
+    """The golden reachable states and input grid, packed for the family kernel."""
 
     def __init__(
         self,
@@ -128,70 +125,6 @@ class _FamilySweep:
     def golden_rows(self, packed: np.ndarray) -> np.ndarray:
         """Golden reachable index of each packed state, or -1."""
         return self.index.indices(packed)
-
-    def member_step(self, member: int):
-        """``step_packed`` of one family member (its id on every lane)."""
-
-        def step(packed_states: np.ndarray, packed_inputs: np.ndarray):
-            members = np.full(len(packed_states), member, dtype=np.int64)
-            return self.kernel.step_packed(packed_states, packed_inputs, members)
-
-        return step
-
-    def sweep(
-        self, members: Sequence[int], exprs: Sequence
-    ) -> Tuple[Dict[int, np.ndarray], Dict[Tuple[int, object], np.ndarray]]:
-        """Every golden reachable state under each of several members.
-
-        Returns ``(next_packed, truths)`` where ``next_packed[member]`` is the
-        (states × inputs) packed next-state table and
-        ``truths[(member, expr)]`` the boolean truth matrix.
-        """
-        S = self.num_states
-        members = list(members)
-        next_rows, truth_rows = self.rows(
-            np.tile(self.packed_states, len(members)),
-            np.repeat(np.asarray(members, dtype=np.int64), S),
-            exprs,
-        )
-        blocks = [(member, slice(k * S, (k + 1) * S)) for k, member in enumerate(members)]
-        next_packed = {member: next_rows[block] for member, block in blocks}
-        truths = {
-            (member, expr): truth_rows[expr][block]
-            for member, block in blocks
-            for expr in exprs
-        }
-        return next_packed, truths
-
-    def rows(
-        self, packed_states: np.ndarray, members: np.ndarray, exprs: Sequence
-    ) -> Tuple[np.ndarray, Dict[object, np.ndarray]]:
-        """Next rows + truth rows of states, each under its own member id.
-
-        Row ``k`` steps ``packed_states[k]`` over the whole input grid as
-        member ``members[k]``, so one call serves several members — the
-        family sweep, or the escape states of every member walked in a
-        lockstep round.  Kernel calls are split only past the lane cap.
-        """
-        count = len(packed_states)
-        num_inputs = self.num_inputs
-        kernels = [(expr, self.kernel.exprs.compile(expr)) for expr in exprs]
-        next_rows = np.empty((count, num_inputs), dtype=np.int64)
-        truths = {expr: np.empty((count, num_inputs), dtype=bool) for expr in exprs}
-        chunk_states = max(1, _SWEEP_CHUNK_LANES // max(num_inputs, 1))
-        for start in range(0, count, chunk_states):
-            stop = min(start + chunk_states, count)
-            lanes = (stop - start) * num_inputs
-            env, nxt = self.kernel.step_packed(
-                np.repeat(packed_states[start:stop], num_inputs),
-                np.tile(self.packed_grid, stop - start),
-                np.repeat(members[start:stop], num_inputs),
-            )
-            next_rows[start:stop] = nxt.reshape(-1, num_inputs)
-            for expr, expr_kernel in kernels:
-                values = self.kernel.bool_lanes(expr_kernel(env), lanes)
-                truths[expr][start:stop] = values.reshape(-1, num_inputs)
-        return next_rows, truths
 
 
 # ---------------------------------------------------------------------------
@@ -336,7 +269,7 @@ def _walk_members(
     """Run member walks to completion in lockstep rounds.
 
     Each round advances every live walk by one frontier chunk and steps the
-    escape states of all of them in one :meth:`_FamilySweep.rows`
+    escape states of all of them in one :func:`~repro.fpv.table.step_rows`
     call, which also evaluates the obligation ``exprs`` on those lanes.
     The walks together keep at most ``keep_bytes`` of escape rows: a walk
     whose next rows would pass it drops all of its own.
@@ -352,7 +285,9 @@ def _walk_members(
             members = np.repeat(
                 np.asarray([walk.member for walk in live], dtype=np.int64), counts
             )
-            next_rows, truths = sweep.rows(np.concatenate(escapes), members, exprs)
+            next_rows, truths = step_rows(
+                sweep.kernel, np.concatenate(escapes), sweep.packed_grid, exprs, members
+            )
         still_live = []
         offset = 0
         kept = sum(walk.kept_bytes for walk in walks)
@@ -381,8 +316,8 @@ class _MemberTable(ObligationTable):
 
     Rows are the member's reachable states in its own reachability order;
     every lane is stepped through the family kernel with this member's id.
-    The next-state table and truth matrices come from the family sweep:
-    states inside the golden set gather their precomputed rows, escape
+    ``next_packed`` and ``truths`` are the member's rows over the golden
+    reachable states: states inside the golden set gather them, escape
     states take the rows their delta walk stepped (``walk``; the golden
     design has none), or are stepped again here if the walk dropped them.
     """
@@ -393,17 +328,17 @@ class _MemberTable(ObligationTable):
         member: int,
         order_packed,
         next_packed: np.ndarray,
-        truths: Dict[Tuple[int, object], np.ndarray],
+        truths: Dict[object, np.ndarray],
         exprs: Sequence,
         walk: Optional[_MemberWalk] = None,
         index: Optional[PackedStateIndex] = None,
     ) -> None:
         super().__init__(
             sweep.kernel,
-            sweep.member_step(member),
             np.asarray(order_packed, dtype=np.int64),
             sweep.packed_grid,
             sweep.system.model.signals,
+            member,
             index,
         )
         golden_rows = sweep.golden_rows(self._packed_states)
@@ -416,14 +351,15 @@ class _MemberTable(ObligationTable):
             escapes = walk.expanded_escapes(exprs) if walk is not None else None
             if escapes is None:
                 states = self._packed_states[~inside]
-                escapes = sweep.rows(
-                    states, np.full(len(states), member, dtype=np.int64), exprs
+                escapes = step_rows(
+                    sweep.kernel, states, sweep.packed_grid, exprs,
+                    self._members(len(states)),
                 )
             rows[~inside], escape_truths = escapes
         self._set_next_packed(rows)
         for expr in exprs:
             matrix = np.empty(self.shape, dtype=bool)
-            matrix[inside] = truths[(member, expr)][gather]
+            matrix[inside] = truths[expr][gather]
             if escape_truths:
                 matrix[~inside] = escape_truths[expr]
             self._truth[expr] = matrix
@@ -621,48 +557,57 @@ def _sweep_members(
         )
     )
     # Golden tables back the memo comparisons for every member.
-    golden_next, golden_truths = sweep.sweep([0], exprs)
-    golden_next0 = golden_next[0]
+    S = sweep.num_states
+    golden_next, golden_truths = step_rows(
+        sweep.kernel, sweep.packed_states, sweep.packed_grid, exprs,
+        np.zeros(S, dtype=np.int64),
+    )
     golden_table = _MemberTable(
-        sweep, 0, sweep.packed_states, golden_next0, golden_truths, exprs,
+        sweep, 0, sweep.packed_states, golden_next, golden_truths, exprs,
         index=sweep.index,
     )
     for obligation in golden_obligations.values():
         golden_engine._run_table_obligation(obligation, golden_table)
 
     # -- per-member work, chunked along the member axis -------------------------
-    # A member's fixed cost: its sweep tables and its walk's visited set.
-    bytes_per_member = sweep.num_states * sweep.num_inputs * (
-        8 + max(len(exprs), 1)
-    ) + visited_bytes(sum(sweep.kernel.state_widths), config.max_states)
+    bytes_per_member = _member_bytes(sweep, len(exprs), config.max_states)
     chunk_size = max(1, _MEMBER_CHUNK_BYTES // bytes_per_member)
     sim_pending: List[Tuple[int, List[int], Optional[ReachabilityResult]]] = []
 
     for chunk_start in range(0, len(family_positions), chunk_size):
         chunk_positions = family_positions[chunk_start : chunk_start + chunk_size]
         chunk_members = [lowering.member_ids[p] for p in chunk_positions]
-        next_packed, truths = sweep.sweep(chunk_members, exprs)
+        # Every golden reachable state under each member: one block of rows
+        # per member, all in one step_rows call.
+        next_rows, truth_rows = step_rows(
+            sweep.kernel,
+            np.tile(sweep.packed_states, len(chunk_members)),
+            sweep.packed_grid,
+            exprs,
+            np.repeat(np.asarray(chunk_members, dtype=np.int64), S),
+        )
+        blocks = [slice(k * S, (k + 1) * S) for k in range(len(chunk_members))]
         walks = [
             _MemberWalk(
-                sweep, member, next_packed[member],
+                sweep, member, next_rows[block],
                 config.max_states, config.max_transitions,
             )
-            for member in chunk_members
+            for member, block in zip(chunk_members, blocks)
         ]
         keep_bytes = max(0, _MEMBER_CHUNK_BYTES - len(chunk_members) * bytes_per_member)
         _walk_members(sweep, walks, exprs, keep_bytes)
-        for position, walk in zip(chunk_positions, walks):
+        for position, walk, block in zip(chunk_positions, walks, blocks):
             member = walk.member
             mutant = mutants[position]
+            next_packed = next_rows[block]
+            truths = {expr: rows[block] for expr, rows in truth_rows.items()}
             reach = walk.result
             stats.delta_escape_states += walk.escape_states
             if reachability_cache is not None:
                 reachability_cache.put(reachability_key(mutant, config), reach)
             leftover: List[int] = []
             member_table: Optional[_MemberTable] = None
-            tables_match = walk.matches_golden and np.array_equal(
-                next_packed[member], golden_next0
-            )
+            tables_match = walk.matches_golden and np.array_equal(next_packed, golden_next)
             for index, assertion in bound:
                 # Same order as the engine: the budget gate first, then the
                 # obligation's own errors, then the table run.
@@ -679,13 +624,13 @@ def _sweep_members(
                     leftover.append(index)
                     continue
                 if tables_match and all(
-                    np.array_equal(truths[(member, expr)], golden_truths[(0, expr)])
+                    np.array_equal(truths[expr], golden_truths[expr])
                     for expr in obligation_g.term_exprs()
                 ):
                     if obligation_g.witness is not None and member_table is None:
                         member_table = _MemberTable(
                             sweep, member, walk.order_packed,
-                            next_packed[member], truths, exprs, walk,
+                            next_packed, truths, exprs, walk,
                         )
                     outcome = _memo_result(
                         obligation_g, member_table, reach, mutant.name, system
@@ -699,7 +644,7 @@ def _sweep_members(
                 if member_table is None:
                     member_table = _MemberTable(
                         sweep, member, walk.order_packed,
-                        next_packed[member], truths, exprs, walk,
+                        next_packed, truths, exprs, walk,
                     )
                 obligation_m = obligation_g.restart()
                 golden_engine._run_table_obligation(obligation_m, member_table)
@@ -714,6 +659,15 @@ def _sweep_members(
             if leftover:
                 sim_pending.append((position, leftover, reach))
     return sim_pending
+
+
+def _member_bytes(sweep: _FamilySweep, num_exprs: int, max_states: int) -> int:
+    """A member's fixed share of the chunk budget: its sweep tables (next
+    rows and one truth matrix per expression over the golden states) and
+    its walk's visited set."""
+    return sweep.num_states * sweep.num_inputs * (8 + max(num_exprs, 1)) + visited_bytes(
+        sum(sweep.kernel.state_widths), max_states
+    )
 
 
 def _memo_result(

@@ -8,17 +8,18 @@ is described by two dense tables over (reachable state × input valuation):
   under input ``i`` (one clock), and
 * one boolean truth matrix per distinct assertion proposition.
 
-Both are produced by a handful of chunked
-:meth:`~repro.sim.vector.VectorKernel.step_packed` calls; the engine's
-path-search recursion then runs on table lookups with no expression
-evaluation or environment construction in its inner loop.  Witness
-environments (counterexample cycles) are re-materialised on demand for the
-few (state, input) pairs on a refuting path.
+Both are produced by :func:`step_rows`, the one chunked
+:meth:`~repro.sim.vector.VectorKernel.step_packed` loop over states × input
+grid (with an optional member column for family kernels); the engine's
+obligation runner then works on these arrays with no expression evaluation
+or environment construction in its inner loop.  Witness environments
+(counterexample cycles) are re-materialised on demand for the few
+(state, input) pairs on a refuting path.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -28,7 +29,7 @@ from ..sim.eval import EvalError
 from .transition import ReachabilityResult, TransitionSystem
 
 #: Upper bound on (state chunk × input grid) lanes per kernel call.
-_CHUNK_LANES = 1 << 18
+CHUNK_LANES = 1 << 18
 
 
 class PackedStateIndex:
@@ -80,37 +81,74 @@ def can_lower(kernel, expr: ast.Expr) -> bool:
     return True
 
 
+def step_rows(
+    kernel,
+    packed_states: np.ndarray,
+    packed_grid: np.ndarray,
+    exprs: Sequence[ast.Expr],
+    members: Optional[np.ndarray] = None,
+) -> Tuple[np.ndarray, Dict[ast.Expr, np.ndarray]]:
+    """Next rows and truth rows of states over the whole input grid.
+
+    Row ``k`` steps ``packed_states[k]`` under every input of
+    ``packed_grid``, as family member ``members[k]`` when a member column is
+    given (so one call can serve several members of a family kernel).
+    Returns the (states × inputs) packed next-state rows and one boolean
+    (states × inputs) matrix per expression.  Kernel calls are split only
+    past the lane cap; environments are discarded chunk by chunk.
+    """
+    count = len(packed_states)
+    num_inputs = len(packed_grid)
+    kernels = [(expr, kernel.exprs.compile(expr)) for expr in exprs]
+    next_rows = np.empty((count, num_inputs), dtype=np.int64)
+    truths = {expr: np.empty((count, num_inputs), dtype=bool) for expr in exprs}
+    chunk_states = max(1, CHUNK_LANES // max(num_inputs, 1))
+    for start in range(0, count, chunk_states):
+        stop = min(start + chunk_states, count)
+        lanes = (stop - start) * num_inputs
+        env, nxt = kernel.step_packed(
+            np.repeat(packed_states[start:stop], num_inputs),
+            np.tile(packed_grid, stop - start),
+            None if members is None else np.repeat(members[start:stop], num_inputs),
+        )
+        next_rows[start:stop] = nxt.reshape(-1, num_inputs)
+        for expr, expr_kernel in kernels:
+            values = kernel.bool_lanes(expr_kernel(env), lanes)
+            truths[expr][start:stop] = values.reshape(-1, num_inputs)
+    return next_rows, truths
+
+
 class ObligationTable:
     """Dense (states × inputs) matrices over one design's step function.
 
     The one table view behind every exhaustive obligation: a standalone
-    design's :class:`TransitionTable` steps through ``kernel.step_packed``,
-    a mutant riding a family sweep (:mod:`repro.fpv.incremental`) through
-    ``step_packed`` with its fixed member id as the member column.  Rows are the
-    reachable states in reachability order (``packed_states``), columns
-    the input grid.  The obligation runners in :mod:`repro.fpv.engine` only
-    ever touch this interface, so a mutant's obligations run on exactly the
+    design's :class:`TransitionTable` (``member`` is ``None``) and a mutant
+    riding a family sweep (:mod:`repro.fpv.incremental`, ``member`` is its
+    family-kernel id) both step lanes through ``kernel.step_packed``, the
+    latter with the member id as the member column.  Rows are the reachable
+    states in reachability order (``packed_states``), columns the input
+    grid.  The obligation runner in :mod:`repro.fpv.engine` only ever
+    touches this interface, so a mutant's obligations run on exactly the
     same code path as a standalone design's.
 
-    ``step(packed_states, packed_inputs) -> (env, next_packed)`` settles
-    lanes; :meth:`ensure_terms` sweeps it over the whole table for any
-    truth matrix (or the next-state index) not supplied up front, and
-    :meth:`env_rows` re-steps the few lanes of a counterexample path.
-    ``index`` reuses a caller's :class:`PackedStateIndex` over
-    ``packed_states`` instead of building another.
+    :meth:`ensure_terms` steps the whole table for any truth matrix (or the
+    next-state index) not supplied up front, and :meth:`env_rows` re-steps
+    the few lanes of a counterexample path.  ``index`` reuses a caller's
+    :class:`PackedStateIndex` over ``packed_states`` instead of building
+    another.
     """
 
     def __init__(
         self,
         kernel,
-        step: Callable,
         packed_states: np.ndarray,
         packed_grid: np.ndarray,
         signals: Sequence[str],
+        member: Optional[int] = None,
         index: Optional[PackedStateIndex] = None,
     ) -> None:
         self._kernel = kernel
-        self._step = step
+        self._member = member
         self._packed_states = packed_states
         self._packed_grid = packed_grid
         self._signals = list(signals)
@@ -125,6 +163,12 @@ class ObligationTable:
         self._next_rows: Optional[List[List[int]]] = None
         self._truth: Dict[ast.Expr, np.ndarray] = {}
         self._truth_rows: Dict[ast.Expr, List[List[bool]]] = {}
+
+    def _members(self, lanes: int) -> Optional[np.ndarray]:
+        """The member column for ``lanes`` rows (``None`` for a plain design)."""
+        if self._member is None:
+            return None
+        return np.full(lanes, self._member, dtype=np.int64)
 
     @property
     def shape(self) -> Tuple[int, int]:
@@ -166,34 +210,22 @@ class ObligationTable:
     def ensure_terms(self, exprs: Iterable[ast.Expr]) -> None:
         """Materialise truth matrices for any not-yet-computed terms.
 
-        One chunked sweep over (states × inputs) serves every missing term —
-        environments are built once per chunk and discarded.  The next-state
-        index table is filled on the first call.
+        One :func:`step_rows` sweep over (states × inputs) serves every
+        missing term.  The next-state index table is filled on the first
+        call.
         """
         missing = [expr for expr in dict.fromkeys(exprs) if expr not in self._truth]
-        need_next = self._next_index is None
-        if not missing and not need_next:
+        if not missing and self._next_index is not None:
             return
-        kernels = [(expr, self._kernel.exprs.compile(expr)) for expr in missing]
-        S, I = self.shape
-        for expr in missing:
-            self._truth[expr] = np.zeros((S, I), dtype=bool)
-        next_packed = np.zeros((S, I), dtype=np.int64) if need_next else None
-
-        chunk_states = max(1, _CHUNK_LANES // max(I, 1))
-        for start in range(0, S, chunk_states):
-            stop = min(start + chunk_states, S)
-            count = stop - start
-            lanes = count * I
-            states_rep = np.repeat(self._packed_states[start:stop], I)
-            inputs_tiled = np.tile(self._packed_grid, count)
-            env, step_next = self._step(states_rep, inputs_tiled)
-            if need_next:
-                next_packed[start:stop] = step_next.reshape(count, I)
-            for expr, kernel in kernels:
-                values = self._kernel.bool_lanes(kernel(env), lanes)
-                self._truth[expr][start:stop] = values.reshape(count, I)
-        if need_next:
+        next_packed, truths = step_rows(
+            self._kernel,
+            self._packed_states,
+            self._packed_grid,
+            missing,
+            self._members(self.num_states),
+        )
+        self._truth.update(truths)
+        if self._next_index is None:
             self._set_next_packed(next_packed)
 
     # -- witness materialisation ------------------------------------------------
@@ -210,7 +242,7 @@ class ObligationTable:
         """
         states = self._packed_states[[s for s, _ in pairs]]
         inputs = self._packed_grid[[i for _, i in pairs]]
-        env, _ = self._step(states, inputs)
+        env, _ = self._kernel.step_packed(states, inputs, self._members(len(pairs)))
         keys = list(names) if names is not None else self._signals
         return [self._kernel.env_row(env, lane, keys) for lane in range(len(pairs))]
 
@@ -226,7 +258,6 @@ class TransitionTable(ObligationTable):
     ):
         super().__init__(
             kernel,
-            kernel.step_packed,
             np.asarray(
                 [kernel.pack_state(state) for state in reachability.states],
                 dtype=np.int64,

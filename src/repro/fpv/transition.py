@@ -208,14 +208,6 @@ class TransitionSystem:
             return
         yield from self.input_dicts()
 
-    def sample_inputs(self, rng, count: int) -> Iterator[Dict[str, int]]:
-        """Yield ``count`` random input valuations."""
-        for _ in range(count):
-            yield {
-                name: rng.randint(0, self._model.signals[name].max_value)
-                for name in self._input_names
-            }
-
     # -- observation (step-cache projection) ------------------------------------
 
     def observe(self, names) -> None:

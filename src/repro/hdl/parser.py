@@ -58,10 +58,6 @@ class Parser:
     def _current(self) -> Token:
         return self._tokens[self._pos]
 
-    def _peek(self, offset: int = 1) -> Token:
-        idx = min(self._pos + offset, len(self._tokens) - 1)
-        return self._tokens[idx]
-
     def _advance(self) -> Token:
         tok = self._current
         if tok.kind is not TokenKind.EOF:

@@ -54,12 +54,6 @@ class LearnedStatistics:
     consequent_role_counts: Dict[str, int] = field(default_factory=dict)
     ngram: Optional[NgramModel] = None
 
-    @property
-    def average_assertions_per_design(self) -> float:
-        if not self.num_examples:
-            return 0.0
-        return self.num_assertions / self.num_examples
-
     def implication_preference(self) -> str:
         """The implication flavour most common in the training data."""
         if not self.implication_counts:

@@ -24,15 +24,6 @@ class DecodingConfig:
     greedy: bool = True
     seed: int = 50
 
-    def with_seed(self, seed: int) -> "DecodingConfig":
-        return DecodingConfig(
-            max_output_tokens=self.max_output_tokens,
-            temperature=self.temperature,
-            top_p=self.top_p,
-            greedy=self.greedy,
-            seed=seed,
-        )
-
 
 @dataclass
 class GenerationResult:
@@ -46,10 +37,6 @@ class GenerationResult:
     @property
     def text(self) -> str:
         return "\n".join(self.lines)
-
-    @property
-    def output_tokens(self) -> int:
-        return count_tokens(self.text)
 
     @property
     def num_assertions(self) -> int:

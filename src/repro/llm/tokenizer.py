@@ -58,13 +58,11 @@ class NgramModel:
             raise ValueError("order must be at least 2")
         self.order = order
         self._counts: List[Counter] = [Counter() for _ in range(order)]
-        self._trained_tokens = 0
 
     def fit(self, texts: Iterable[str]) -> "NgramModel":
         """Accumulate n-gram counts from assertion texts."""
         for text in texts:
             tokens = ["<s>"] * (self.order - 1) + tokenize_text(text) + ["</s>"]
-            self._trained_tokens += len(tokens)
             for n in range(1, self.order + 1):
                 self._counts[n - 1].update(ngrams(tokens, n))
         return self
@@ -72,10 +70,6 @@ class NgramModel:
     @property
     def vocabulary_size(self) -> int:
         return len(self._counts[0])
-
-    @property
-    def trained_tokens(self) -> int:
-        return self._trained_tokens
 
     def sequence_logprob(self, text: str) -> float:
         """Average per-token log probability (back-off with add-one smoothing)."""

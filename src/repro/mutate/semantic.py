@@ -189,6 +189,8 @@ class SemanticContext:
         """Complete reachable-space comparison of many mutants in one pass."""
         import numpy as np
 
+        from ..fpv.table import CHUNK_LANES
+
         kernel = lowering.kernel
         system = self._system
         states = self._reachability.states
@@ -202,7 +204,7 @@ class SemanticContext:
         found: Dict[int, DifferenceWitness] = {}
         active = [(position, lowering.member_ids[position]) for position in accepted]
         per_state = max(num_inputs * (len(active) + 1), 1)
-        chunk_states = max(1, (1 << 18) // per_state)
+        chunk_states = max(1, CHUNK_LANES // per_state)
         for start in range(0, len(states), chunk_states):
             if not active:
                 break
@@ -220,7 +222,10 @@ class SemanticContext:
                 lo = (row + 1) * lanes_per
                 diff_any = np.zeros(lanes_per, dtype=bool)
                 for signal in signals:
-                    diff_any |= env[signal][lo : lo + lanes_per] != env[signal][:lanes_per]
+                    # Lanes are the last axis; multi-limb columns add a limb axis.
+                    column = env[signal]
+                    differs = column[..., lo : lo + lanes_per] != column[..., :lanes_per]
+                    diff_any |= differs.reshape(-1, lanes_per).any(axis=0)
                 diff_any |= nxt[lo : lo + lanes_per] != golden_next
                 if not diff_any.any():
                     still_active.append((position, member))
@@ -228,10 +233,12 @@ class SemanticContext:
                 lane = int(np.argmax(diff_any))
                 state_values = system.state_dict(states[start + lane // num_inputs])
                 inputs = dict(input_dicts[lane % num_inputs])
+                golden_row = kernel.env_row(env, lane, signals)
+                mutant_row = kernel.env_row(env, lo + lane, signals)
                 witness = None
                 for signal in signals:
-                    golden_value = int(env[signal][lane])
-                    mutant_value = int(env[signal][lo + lane])
+                    golden_value = golden_row[signal]
+                    mutant_value = mutant_row[signal]
                     if golden_value != mutant_value:
                         witness = DifferenceWitness(
                             signal=signal,

@@ -101,12 +101,6 @@ class ExhaustiveStimulus(Stimulus):
     def __init__(self, max_vectors: int = 1 << 16):
         self._max_vectors = max_vectors
 
-    def space_size(self, model: RtlModel) -> int:
-        size = 1
-        for name in model.non_clock_inputs:
-            size *= model.signals[name].max_value + 1
-        return size
-
     def vectors(self, model: RtlModel, cycles: int) -> Iterator[Dict[str, int]]:
         names = model.non_clock_inputs
         ranges = [range(model.signals[name].max_value + 1) for name in names]

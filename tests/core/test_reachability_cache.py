@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import threading
+
 from repro.core import RunStore, SchedulerConfig, VerificationService
 from repro.core.store import PersistentReachabilityCache
 from repro.fpv import (
@@ -71,6 +73,37 @@ class TestPersistentReachabilityCache:
         cache.close()
         got = PersistentReachabilityCache(path).get(key)
         assert got is not None and not got.complete
+
+    def test_equal_put_appends_nothing(self, tmp_path, counter_design):
+        path = tmp_path / "reachability.jsonl"
+        cache = PersistentReachabilityCache(path)
+        key = reachability_key(counter_design, EngineConfig())
+        cache.put(key, _reach(counter_design))
+        cache.put(key, _reach(counter_design))
+        cache.close()
+        assert len(path.read_text(encoding="utf-8").splitlines()) == 1
+        reloaded = PersistentReachabilityCache(path)
+        assert reloaded.loaded_entries == 1
+        assert reloaded.get(key) == _reach(counter_design)
+
+    def test_concurrent_equal_puts_append_one_line(self, tmp_path, counter_design):
+        path = tmp_path / "reachability.jsonl"
+        cache = PersistentReachabilityCache(path)
+        key = reachability_key(counter_design, EngineConfig())
+        result = _reach(counter_design)
+        start = threading.Barrier(8)
+
+        def put():
+            start.wait()
+            cache.put(key, result)
+
+        threads = [threading.Thread(target=put) for _ in range(8)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join()
+        cache.close()
+        assert len(path.read_text(encoding="utf-8").splitlines()) == 1
 
     def test_torn_line_is_skipped(self, tmp_path):
         path = tmp_path / "reachability.jsonl"

@@ -180,28 +180,42 @@ class TestCorpusVerdictEquivalence:
         Regression: the vectorized depth-0 walk must refute a violation that
         falls inside the remaining budget at a state even when the rest of
         that state's input row would have exhausted it (the scalar sweep
-        decides the obligation before the next input is charged).
+        decides the obligation before the next input is charged).  The
+        second batch gates depth-0 and deep attempts with ``disable iff``;
+        without it, the proven ones would be refuted.
         """
         design = corpus.design("arb2")
-        batch = [
-            "(req1 == 1 && req2 == 0) |-> (gnt1 == 1);",
-            "(req1 == 1) |-> (gnt2 == 1);",  # refutable at depth 0
-            "(req2 == 0 && gnt_ == 1) ##1 (req1 == 1) |=> (gnt1 == 1);",
+        batches = [
+            [
+                "(req1 == 1 && req2 == 0) |-> (gnt1 == 1);",
+                "(req1 == 1) |-> (gnt2 == 1);",  # refutable at depth 0
+                "(req2 == 0 && gnt_ == 1) ##1 (req1 == 1) |=> (gnt1 == 1);",
+            ],
+            [
+                "disable iff (req2) (req1 == 1) |-> (gnt2 == 1);",  # refutable
+                # Refutable on the ninth pair (second state, first input).
+                "disable iff (gnt_ == 0) (req1 == 0) |-> (gnt2 == 1);",
+                "disable iff (req2 == 1) (req1 == 1) |-> (gnt1 == 1);",  # proven
+                "disable iff (req1) (req1 == 1) |-> (gnt2 == 1);",  # vacuous
+                "disable iff (req1) (req2 == 1) |=> (gnt_ == 0);",  # proven, deep
+                "disable iff (req2) (req1 == 1) ##1 (req2 == 1) |-> (gnt1 == 1);",
+            ],
         ]
-        per_backend = {}
-        for backend in BACKENDS:
-            engine = FormalEngine(
-                design,
-                EngineConfig(
-                    backend=backend,
-                    max_path_evaluations=limit,
-                    fallback_cycles=48,
-                    fallback_seeds=1,
-                ),
-            )
-            per_backend[backend] = [_verdict_key(r) for r in engine.check_batch(batch)]
-        assert per_backend["compiled"] == per_backend["interpreted"], limit
-        assert per_backend["vectorized"] == per_backend["interpreted"], limit
+        for batch in batches:
+            per_backend = {}
+            for backend in BACKENDS:
+                engine = FormalEngine(
+                    design,
+                    EngineConfig(
+                        backend=backend,
+                        max_path_evaluations=limit,
+                        fallback_cycles=48,
+                        fallback_seeds=1,
+                    ),
+                )
+                per_backend[backend] = [_verdict_key(r) for r in engine.check_batch(batch)]
+            assert per_backend["compiled"] == per_backend["interpreted"], limit
+            assert per_backend["vectorized"] == per_backend["interpreted"], limit
 
     def test_truncated_reachability_identical(self, corpus):
         """Caps that bite mid-walk truncate at the same transition.

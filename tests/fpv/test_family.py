@@ -23,7 +23,7 @@ from repro.fpv.engine import (
 )
 from repro.fpv import incremental
 from repro.fpv.incremental import FamilyStats, check_family
-from repro.fpv.transition import TransitionSystem, enumerate_reachable, visited_bytes, walk
+from repro.fpv.transition import TransitionSystem, enumerate_reachable, walk
 from repro.hdl.design import Design
 from repro.mining import mine_verified_assertions
 from repro.mutate.operators import enumerate_mutants
@@ -218,32 +218,23 @@ def _per_member_escape_states(design, golden_states, config):
     return escapes
 
 
-def _member_bytes(sweep, exprs, config):
-    """A member's fixed share of the chunk budget: tables and visited set."""
-    return sweep.num_states * sweep.num_inputs * (8 + max(len(exprs), 1)) + visited_bytes(
-        sum(sweep.kernel.state_widths), config.max_states
-    )
-
-
 @pytest.mark.parametrize("caps", sorted(_DELTA_CAPS))
 def test_lockstep_member_walks_match_per_member_walks(families, caps, monkeypatch):
     """Member walks advanced in lockstep, several member chunks per family
     and members finishing in different rounds, give every member its own
     BFS and count the same expanded escape states as per-member walks."""
     chunks = []
-    sweep = incremental._FamilySweep.sweep
+    member_bytes, walk_members = incremental._member_bytes, incremental._walk_members
 
-    def chunked_sweep(self, members, exprs):
-        members = list(members)
-        if members == [0]:
-            # The golden sweep comes first: size the member axis to three
-            # members per chunk before it is split.
-            monkeypatch.setattr(
-                incremental, "_MEMBER_CHUNK_BYTES", 3 * _member_bytes(self, exprs, config)
-            )
-        else:
-            chunks.append(members)
-        return sweep(self, members, exprs)
+    def three_per_chunk(sweep, num_exprs, max_states):
+        # Size the member axis to three members per chunk before it is split.
+        share = member_bytes(sweep, num_exprs, max_states)
+        monkeypatch.setattr(incremental, "_MEMBER_CHUNK_BYTES", 3 * share)
+        return share
+
+    def recording_walk_members(sweep, walks, exprs, keep_bytes):
+        chunks.append([walk.member for walk in walks])
+        return walk_members(sweep, walks, exprs, keep_bytes)
 
     rounds = {}
     advance = incremental._MemberWalk.advance
@@ -252,7 +243,8 @@ def test_lockstep_member_walks_match_per_member_walks(families, caps, monkeypatc
         rounds[id(self)] = rounds.get(id(self), 0) + 1
         return advance(self, *args)
 
-    monkeypatch.setattr(incremental._FamilySweep, "sweep", chunked_sweep)
+    monkeypatch.setattr(incremental, "_member_bytes", three_per_chunk)
+    monkeypatch.setattr(incremental, "_walk_members", recording_walk_members)
     monkeypatch.setattr(incremental._MemberWalk, "advance", counting_advance)
 
     walked = escaped = 0
@@ -304,23 +296,27 @@ def test_member_walks_keep_escape_rows_within_chunk_budget(families, caps, monke
     keeps none, and every verdict still equals the mutant's own engine."""
     state = {"phase": None, "budget": None, "group": []}
     seen = {"kept": 0, "dropped": 0, "restepped": 0}
-    sweep, rows = incremental._FamilySweep.sweep, incremental._FamilySweep.rows
+    member_bytes, step_rows = incremental._member_bytes, incremental.step_rows
     walk_members, advance = incremental._walk_members, incremental._MemberWalk.advance
+    member_table = incremental._MemberTable.__init__
 
-    def tight_sweep(self, members, exprs):
-        if list(members) == [0]:
-            row_bytes = self.num_inputs * (8 + len(exprs))
-            budget = len(designs) * _member_bytes(self, exprs, config) + 3 * row_bytes
-            monkeypatch.setattr(incremental, "_MEMBER_CHUNK_BYTES", budget)
-        state["phase"] = "sweep"
+    def tight_budget(sweep, num_exprs, max_states):
+        share = member_bytes(sweep, num_exprs, max_states)
+        row_bytes = sweep.num_inputs * (8 + num_exprs)
+        budget = len(designs) * share + 3 * row_bytes
+        monkeypatch.setattr(incremental, "_MEMBER_CHUNK_BYTES", budget)
+        return share
+
+    def counting_step_rows(*args):
+        seen["restepped"] += state["phase"] == "table"
+        return step_rows(*args)
+
+    def watched_member_table(self, *args, **kwargs):
+        state["phase"] = "table"
         try:
-            return sweep(self, members, exprs)
+            member_table(self, *args, **kwargs)
         finally:
             state["phase"] = None
-
-    def counting_rows(self, *args):
-        seen["restepped"] += state["phase"] is None
-        return rows(self, *args)
 
     def watched_walk_members(sweep_, walks, exprs, keep_bytes):
         state.update(phase="walk", budget=keep_bytes, group=list(walks))
@@ -341,8 +337,9 @@ def test_member_walks_keep_escape_rows_within_chunk_budget(families, caps, monke
                 seen["dropped"] += 1
         return live
 
-    monkeypatch.setattr(incremental._FamilySweep, "sweep", tight_sweep)
-    monkeypatch.setattr(incremental._FamilySweep, "rows", counting_rows)
+    monkeypatch.setattr(incremental, "_member_bytes", tight_budget)
+    monkeypatch.setattr(incremental, "step_rows", counting_step_rows)
+    monkeypatch.setattr(incremental._MemberTable, "__init__", watched_member_table)
     monkeypatch.setattr(incremental, "_walk_members", watched_walk_members)
     monkeypatch.setattr(incremental._MemberWalk, "advance", watched_advance)
 
