@@ -256,7 +256,7 @@ class VerificationService:
         self._pool: Optional[ProcessPoolExecutor] = None
         self._pool_lock = threading.Lock()
         #: Aggregated counters from family-batched mutation dispatch and the
-        #: scalar step caches; guarded by one lock — streaming campaigns
+        #: scalar successor-row memos; guarded by one lock — streaming campaigns
         #: dispatch from several verifier threads concurrently.
         self._stats_lock = threading.Lock()
         self._family_stats: Dict[str, int] = {}
@@ -551,8 +551,10 @@ class VerificationService:
     def step_cache_stats(self) -> Dict[str, int]:
         """Scalar step-cache hits/misses aggregated across dispatched batches.
 
-        Covers the memoised :meth:`~repro.fpv.transition.TransitionSystem.step`
-        path (scalar sweeps, tiny-frontier BFS slices) regardless of which
+        Counts the memoised successor rows of
+        :meth:`~repro.fpv.transition.TransitionSystem.successors` (one row
+        per state, covering the scalar sweeps and tiny-frontier BFS slices):
+        rows served from the memo and rows computed, regardless of which
         worker process ran the batch.
         """
         with self._stats_lock:

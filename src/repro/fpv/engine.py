@@ -21,11 +21,12 @@ Two proof strategies are used:
 The engine is *batched*: :meth:`FormalEngine.check_batch` is the core
 primitive.  It sweeps the reachable state × input space **once** per design
 and advances every pending assertion's antecedent/consequent obligations
-together, so one :meth:`~repro.fpv.transition.TransitionSystem.step` per
-(state, inputs) pair is shared across the whole batch.  Per-assertion
-evaluation budgets and verdict semantics are identical to checking each
-assertion alone; :meth:`check` and :meth:`check_all` are thin wrappers over a
-batch of one / the full batch.
+together: each visited state's successor row
+(:meth:`~repro.fpv.transition.TransitionSystem.successors`, every input
+valuation's settled environment and next state) is computed once and shared
+across the whole batch.  Per-assertion evaluation budgets and verdict
+semantics are identical to checking each assertion alone; :meth:`check` and
+:meth:`check_all` are thin wrappers over a batch of one / the full batch.
 
 With the ``vectorized`` backend the sweep is *array-oriented*: the design is
 lowered to the NumPy kernel of :mod:`repro.sim.vector`, the whole reachable
@@ -492,7 +493,11 @@ class FormalEngine:
         return self._reachability
 
     def step_cache_stats(self) -> Dict[str, int]:
-        """Hit/miss snapshot of the transition system's step memo cache."""
+        """Snapshot of the transition system's successor-row memo.
+
+        ``hits``/``misses`` count rows served and computed; ``entries``
+        counts the transitions the rows hold.
+        """
         return self._system.step_cache_info()
 
     def explore_reachability(self) -> Optional[ReachabilityResult]:
@@ -779,7 +784,9 @@ class FormalEngine:
         exhaustion is assertion-local and order-identical to ``check()``.
         """
         limit = self._config.max_path_evaluations
-        for inputs in self._system.enumerate_inputs():
+        row = self._system.successors(state)
+        failed_at = len(row) if row.error is not None else None
+        for position in range(len(self._system.input_grid)):
             alive: List[Tuple[_Obligation, Optional[_Pending]]] = []
             for obligation, pending in carriers:
                 if obligation.decided or obligation.budget_exhausted:
@@ -791,12 +798,11 @@ class FormalEngine:
                 alive.append((obligation, pending))
             if not alive:
                 return
-            try:
-                step = self._system.step(state, inputs)
-            except (EvalError, HdlError) as exc:
+            if position == failed_at:
                 for obligation, _ in alive:
-                    obligation.fail(f"evaluation error: {exc}")
+                    obligation.fail(f"evaluation error: {row.error}")
                 return
+            step = row[position]
             env = step.env
             next_carriers: List[Tuple[_Obligation, Optional[_Pending]]] = []
             born: List[Tuple[_Obligation, _Pending]] = []

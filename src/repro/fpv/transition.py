@@ -8,9 +8,10 @@ analysis and path checking.
 
 Two evaluation strategies coexist:
 
-* the scalar path (:meth:`TransitionSystem.step`) computes one settled
-  environment per (state, input) pair through the interpreted or compiled
-  backend, with a bounded memo cache;
+* the scalar path (:meth:`TransitionSystem.successors`) computes one
+  state's settled environments and next states for the whole input grid
+  through the interpreted or compiled backend, memoised per state in a
+  bounded cache of successor rows;
 * the vectorized path (:meth:`TransitionSystem.vector_kernel`) lowers the
   model to the NumPy structure-of-arrays kernel of :mod:`repro.sim.vector`
   and advances the whole BFS frontier × input grid in one
@@ -24,10 +25,21 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Callable, Dict, Generator, Iterator, List, Optional, Tuple
+from typing import (
+    TYPE_CHECKING,
+    Callable,
+    Dict,
+    Generator,
+    Iterator,
+    List,
+    NoReturn,
+    Optional,
+    Tuple,
+)
 
 from ..hdl.design import Design
 from ..hdl.elaborate import RtlModel
+from ..hdl.errors import HdlError
 from ..sim.compile import VECTORIZED, CombSettle, default_backend, make_evaluator, make_executor
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -36,9 +48,9 @@ if TYPE_CHECKING:  # pragma: no cover
 State = Tuple[int, ...]
 InputVector = Tuple[int, ...]
 
-#: How many entries a full step cache drops at once.  Bounded FIFO eviction:
-#: a mid-BFS cap evicts the oldest eighth instead of dumping the entire
-#: working set the way the old wholesale ``clear()`` did.
+#: How many rows a full successor memo drops at once.  Bounded FIFO eviction:
+#: a mid-BFS cap evicts the oldest eighth of the memoised states instead of
+#: dumping the entire working set.
 _EVICTION_FRACTION = 8
 
 
@@ -53,6 +65,28 @@ class TransitionStep:
 
     env: Dict[str, int]
     next_state: State
+
+
+class SuccessorRow(list):
+    """The transitions out of one state, one :class:`TransitionStep` per
+    input valuation in :attr:`TransitionSystem.input_grid` order.  Rows are
+    shared: do not mutate a row or its environments.
+
+    A step that raises ends the row: the row then holds the steps before it
+    and ``error`` keeps the exception.  A caller that reaches position
+    ``len(row)`` calls :meth:`fail`; one that stops earlier (a decided
+    obligation, an exhausted budget, a truncated walk) never sees it.
+    """
+
+    __slots__ = ("error",)
+
+    def __init__(self, steps: List[TransitionStep], error: Optional[Exception] = None):
+        super().__init__(steps)
+        self.error = error
+
+    def fail(self) -> NoReturn:
+        """Raise the exception that ended this row."""
+        raise self.error.with_traceback(None)
 
 
 class TransitionSystem:
@@ -70,11 +104,14 @@ class TransitionSystem:
         self._state_names: List[str] = list(self._model.state_regs)
         self._input_names: List[str] = list(self._model.non_clock_inputs)
         self._max_input_bits = max_input_bits
-        self._step_cache: Dict[Tuple[State, InputVector], TransitionStep] = {}
-        self._step_cache_limit = 200_000
-        self._step_cache_hits = 0
-        self._step_cache_misses = 0
-        #: Signals kept in cached/returned step environments; None = all.
+        #: Successor rows by state, oldest first; bounded by the number of
+        #: transitions they hold.
+        self._rows: Dict[State, SuccessorRow] = {}
+        self._rows_held = 0
+        self._rows_limit = 200_000
+        self._row_hits = 0
+        self._row_misses = 0
+        #: Signals kept in memoised/returned step environments; None = all.
         self._observed: Optional[frozenset] = None
         self._input_grid: Optional[Tuple[InputVector, ...]] = None
         self._input_dicts: Optional[List[Dict[str, int]]] = None
@@ -208,15 +245,16 @@ class TransitionSystem:
             return
         yield from self.input_dicts()
 
-    # -- observation (step-cache projection) ------------------------------------
+    # -- observation (step projection) ------------------------------------------
 
     def observe(self, names) -> None:
-        """Restrict cached step environments to ``names`` (plus state/inputs).
+        """Restrict step environments to ``names`` (plus state/inputs).
 
         The FPV engine calls this with the union of signals its current
-        assertion batch references, so the memo cache stores a handful of
-        values per transition instead of a full environment copy.  Widening
-        the observation set invalidates existing (narrower) entries.
+        assertion batch references, so the successor memo stores a handful
+        of values per transition instead of a full environment.  Widening the
+        observation set drops every memoised row (their environments are
+        too narrow); narrowing it is a no-op.
         """
         wanted = (frozenset(names) & frozenset(self._model.signals)) | frozenset(
             self._state_names
@@ -227,7 +265,8 @@ class TransitionSystem:
             self._observed = wanted
         else:
             self._observed = self._observed | wanted
-        self._step_cache.clear()
+        self._rows.clear()
+        self._rows_held = 0
 
     @property
     def observed_signals(self) -> Optional[frozenset]:
@@ -250,43 +289,71 @@ class TransitionSystem:
     def step(self, state: State, inputs: Dict[str, int]) -> TransitionStep:
         """Compute the settled environment and the post-clock next state.
 
-        Results are memoised on (state, input vector): the FPV engine revisits
-        the same transitions many times while checking a batch of assertions.
-        Cached environments are projected to the observed signal set (see
-        :meth:`observe`), and a full cache evicts its oldest entries instead
-        of dropping the whole working set.
+        One uncached transition, projected to the observed signal set (see
+        :meth:`observe`), for one-off callers.  Sweeps over every input
+        valuation of a state use the memoised :meth:`successors` instead.
         """
-        key = (state, tuple(inputs.get(name, 0) for name in self._input_names))
-        cached = self._step_cache.get(key)
-        if cached is not None:
-            self._step_cache_hits += 1
-            return TransitionStep(env=dict(cached.env), next_state=cached.next_state)
-        self._step_cache_misses += 1
-        step = self._compute_step(state, inputs)
-        env = step.env
-        if self._observed is not None:
-            env = {name: env[name] for name in self._observed if name in env}
-            step = TransitionStep(env=env, next_state=step.next_state)
-        if len(self._step_cache) >= self._step_cache_limit:
-            evict = max(1, self._step_cache_limit // _EVICTION_FRACTION)
-            for old_key in list(itertools.islice(self._step_cache, evict)):
-                del self._step_cache[old_key]
-        self._step_cache[key] = TransitionStep(env=dict(env), next_state=step.next_state)
-        return step
+        return self._project(self._compute_step(state, inputs))
+
+    def successors(self, state: State) -> SuccessorRow:
+        """Every transition out of ``state``, in :attr:`input_grid` order.
+
+        Rows are memoised per state: the FPV engine revisits the same states
+        many times while checking a batch of assertions.  Environments are
+        projected to the observed signal set (see :meth:`observe`), and a
+        memo holding more than its limit of transitions evicts its oldest
+        eighth of states.  Only call this on systems whose inputs can be
+        enumerated.
+        """
+        row = self._rows.get(state)
+        if row is not None:
+            self._row_hits += 1
+            return row
+        self._row_misses += 1
+        steps: List[TransitionStep] = []
+        error = None
+        try:
+            for inputs in self.input_dicts():
+                steps.append(self._project(self._compute_step(state, inputs)))
+        except HdlError as exc:  # EvalError included
+            error = exc.with_traceback(None)
+        row = SuccessorRow(steps, error)
+        held = len(row)
+        if held <= self._rows_limit:
+            while self._rows_held + held > self._rows_limit:
+                evict = max(1, len(self._rows) // _EVICTION_FRACTION)
+                for old in list(itertools.islice(self._rows, evict)):
+                    self._rows_held -= len(self._rows.pop(old))
+            self._rows[state] = row
+            self._rows_held += held
+        return row
 
     def step_cache_info(self) -> Dict[str, int]:
-        """Size/limit/hit-rate snapshot of the memo cache."""
+        """Size/limit/hit-rate snapshot of the successor memo.
+
+        ``entries`` counts the transitions the memoised rows hold; ``hits``
+        and ``misses`` count rows served from the memo and rows computed.
+        """
         return {
-            "entries": len(self._step_cache),
-            "limit": self._step_cache_limit,
-            "hits": self._step_cache_hits,
-            "misses": self._step_cache_misses,
+            "entries": self._rows_held,
+            "limit": self._rows_limit,
+            "hits": self._row_hits,
+            "misses": self._row_misses,
             "env_signals": (
                 len(self._observed)
                 if self._observed is not None
                 else len(self._model.signals)
             ),
         }
+
+    def _project(self, step: TransitionStep) -> TransitionStep:
+        if self._observed is None:
+            return step
+        env = step.env
+        return TransitionStep(
+            env={name: env[name] for name in self._observed if name in env},
+            next_state=step.next_state,
+        )
 
     def _compute_step(self, state: State, inputs: Dict[str, int]) -> TransitionStep:
         env = self.settle(state, inputs)
@@ -355,20 +422,23 @@ def enumerate_reachable(
     frontier: List[State] = [initial]
     transitions = 0
     complete = True
-    input_dicts = system.input_dicts()
+    positions = range(len(system.input_grid))
 
     while frontier:
         next_frontier: List[State] = []
         for state in frontier:
-            for inputs in input_dicts:
+            row = system.successors(state)
+            for position in positions:
                 transitions += 1
                 if transitions > max_transitions:
                     return ReachabilityResult(order, False, False, transitions)
-                step = system.step(state, inputs)
-                if step.next_state not in visited:
-                    visited.add(step.next_state)
-                    order.append(step.next_state)
-                    next_frontier.append(step.next_state)
+                if position == len(row):
+                    row.fail()
+                next_state = row[position].next_state
+                if next_state not in visited:
+                    visited.add(next_state)
+                    order.append(next_state)
+                    next_frontier.append(next_state)
                     if len(order) >= max_states:
                         return ReachabilityResult(order, False, False, transitions)
         frontier = next_frontier
@@ -381,7 +451,7 @@ def enumerate_reachable(
 _BFS_CHUNK_LANES = 1 << 18
 #: Below this many lanes a kernel call's per-op dispatch overhead exceeds the
 #: scalar step cost; chain-like state spaces (LFSRs, counters) whose frontier
-#: is one or two states run those slices through the memoised scalar step.
+#: is one or two states run those slices through the memoised scalar rows.
 _BFS_MIN_VECTOR_LANES = 64
 #: Widest packed state whose visited store is a dense boolean array.
 _DENSE_VISITED_BITS = 24
@@ -506,20 +576,18 @@ def _enumerate_reachable_vectorized(
     grid = system.input_grid
     num_inputs = len(grid)
     packed_grid = kernel.pack_input_grid(grid)
-    input_dicts = system.input_dicts()
 
     def successors(chunk: List[int]) -> np.ndarray:
         if len(chunk) * num_inputs < _BFS_MIN_VECTOR_LANES:
             # Tiny frontier: per-op kernel dispatch would cost more than
-            # the memoised scalar step.  Same rows, same order.
-            return np.asarray(
-                [
-                    pack_state(system.step(unpack_state(packed), inputs).next_state)
-                    for packed in chunk
-                    for inputs in input_dicts
-                ],
-                dtype=np.int64,
-            )
+            # the memoised scalar rows.  Same rows, same order.
+            flat: List[int] = []
+            for packed in chunk:
+                row = system.successors(unpack_state(packed))
+                if row.error is not None:
+                    row.fail()
+                flat.extend(pack_state(step.next_state) for step in row)
+            return np.asarray(flat, dtype=np.int64)
         states_rep = np.repeat(np.asarray(chunk, dtype=np.int64), num_inputs)
         _, next_packed = kernel.step_packed(
             states_rep, np.tile(packed_grid, len(chunk))

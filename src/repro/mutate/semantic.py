@@ -321,8 +321,11 @@ class SemanticContext:
         for state in self._reachability.states:
             state_values = golden_system.state_dict(state)
             mutant_state = mutant_system.encode_state(state_values)
-            for inputs in golden_system.enumerate_inputs():
-                golden_step = golden_system.step(state, inputs)
+            golden_row = golden_system.successors(state)
+            for position, inputs in enumerate(golden_system.input_dicts()):
+                if position == len(golden_row):
+                    golden_row.fail()
+                golden_step = golden_row[position]
                 mutant_step = mutant_system.step(mutant_state, inputs)
                 for signal in signals:
                     golden_value = golden_step.env.get(signal, 0)

@@ -217,6 +217,37 @@ class TestCorpusVerdictEquivalence:
             assert per_backend["compiled"] == per_backend["interpreted"], limit
             assert per_backend["vectorized"] == per_backend["interpreted"], limit
 
+    @pytest.mark.parametrize("limit", [32767, 32768, 67583, 67584])
+    def test_watchdog_budget_boundaries_identical(self, corpus, limit):
+        """Budget edges of watchdog4 (32 reachable states × 64 inputs).
+
+        Below 32768 the exhaustive gate sends the deep obligations to
+        simulation; a proven depth-1 obligation charges exactly 67584.  The
+        compiled and interpreted sweeps share the memoised successor rows,
+        so the vectorized table runner is the independent oracle here.
+        """
+        design = corpus.design("watchdog4")
+        batch = [
+            "(kick == 1) |=> (count == 0);",
+            "(kick == 1) |=> (!(count == 0));",
+            "(timeout == 1) |-> (bite == 0);",
+            "(kick == 1) |=> (bite == 0);",
+        ]
+        per_backend = {}
+        for backend in BACKENDS:
+            engine = FormalEngine(
+                design,
+                EngineConfig(
+                    backend=backend,
+                    max_path_evaluations=limit,
+                    fallback_cycles=48,
+                    fallback_seeds=1,
+                ),
+            )
+            per_backend[backend] = [_verdict_key(r) for r in engine.check_batch(batch)]
+        assert per_backend["compiled"] == per_backend["interpreted"], limit
+        assert per_backend["vectorized"] == per_backend["interpreted"], limit
+
     def test_truncated_reachability_identical(self, corpus):
         """Caps that bite mid-walk truncate at the same transition.
 

@@ -10,6 +10,7 @@ from repro.fpv import (
     check_assertion,
     enumerate_reachable,
 )
+from repro.sim.eval import EvalError
 
 
 @pytest.fixture(scope="module")
@@ -128,6 +129,11 @@ class TestTransitionSystem:
         second = system.step((2,), {"rst": 0, "en": 1})
         assert first.next_state == second.next_state
         assert first.env == second.env
+        # the memoised row holds the same transition at that input's position
+        position = system.input_dicts().index({"rst": 0, "en": 1})
+        memoised = system.successors((2,))[position]
+        assert memoised.next_state == first.next_state
+        assert memoised.env == first.env
 
     def test_input_enumeration_size(self, counter_design):
         system = TransitionSystem(counter_design)
@@ -140,3 +146,73 @@ class TestTransitionSystem:
         )
         table = result.counterexample.format(["req1", "req2", "gnt1"])
         assert "req1" in table and "cycle" in table
+
+
+class TestStepErrorPosition:
+    """A transition that raises is handled only where a search reaches it.
+
+    One (state, input) pair of arb2 raises ``EvalError``: obligations whose
+    search reaches it get an error verdict, obligations decided earlier keep
+    their verdicts, and a reachability walk cut before it never sees it.
+    """
+
+    FAILING_STATE = (1,)
+    FAILING_INPUTS = {"rst": 0, "req1": 1, "req2": 1}
+
+    DECIDED_EARLIER = [
+        "(req1 == 0 && req2 == 0) |-> (gnt1 == 1);",  # refuted on the first pair
+        "(req1 == 1) |-> (gnt2 == 1);",  # refuted in the initial state's row
+        # Refuted in state 1's row, on a pair ahead of the failing one.
+        "(req1 == 0) |-> (gnt_ == 0);",
+    ]
+    REACHING = [
+        "(req1 == 1 && req2 == 0) |-> (gnt1 == 1);",  # proven: sweeps everything
+        # Its first matching attempt steps into state 1 and sweeps its row.
+        "(req1 == 1 && req2 == 0) |=> (gnt_ == 1);",
+    ]
+
+    def fail_at_pair(self, monkeypatch):
+        original = TransitionSystem._compute_step
+
+        def compute_step(system, state, inputs):
+            if state == self.FAILING_STATE and inputs == self.FAILING_INPUTS:
+                raise EvalError("injected failure")
+            return original(system, state, inputs)
+
+        monkeypatch.setattr(TransitionSystem, "_compute_step", compute_step)
+
+    @pytest.mark.parametrize("backend", ["compiled", "interpreted"])
+    def test_sweep_fails_only_obligations_reaching_the_pair(
+        self, arb2_design, backend, monkeypatch
+    ):
+        config = EngineConfig(backend=backend)
+        batch = self.DECIDED_EARLIER + self.REACHING
+        reference = FormalEngine(arb2_design, config).check_batch(batch)
+        # The walk itself would reach the failing pair: explore beforehand.
+        reachability = enumerate_reachable(TransitionSystem(arb2_design, backend=backend))
+        self.fail_at_pair(monkeypatch)
+        engine = FormalEngine(arb2_design, config)
+        engine.preload_reachability(reachability)
+        results = engine.check_batch(batch)
+        for got, want in zip(results[: len(self.DECIDED_EARLIER)], reference):
+            assert got.status is want.status is ProofStatus.CEX
+            assert got.counterexample.cycles == want.counterexample.cycles
+        for result in results[len(self.DECIDED_EARLIER) :]:
+            assert result.status is ProofStatus.ERROR
+            assert result.reason == "evaluation error: injected failure"
+
+    @pytest.mark.parametrize("backend", ["compiled", "interpreted"])
+    def test_reachability_cut_before_the_pair_does_not_raise(
+        self, arb2_design, backend, monkeypatch
+    ):
+        self.fail_at_pair(monkeypatch)
+        system = TransitionSystem(arb2_design, backend=backend)
+        grid = system.input_dicts()
+        # The scalar walk finishes the initial state's row first.
+        before = len(grid) + grid.index(self.FAILING_INPUTS)
+        result = enumerate_reachable(system, max_transitions=before)
+        assert not result.complete
+        assert result.transitions_explored == before + 1
+        assert result.states == [(0,), self.FAILING_STATE]
+        with pytest.raises(EvalError, match="injected failure"):
+            enumerate_reachable(system, max_transitions=before + 1)

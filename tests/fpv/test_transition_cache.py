@@ -1,8 +1,33 @@
-"""Step-cache projection/eviction and the precomputed input grid."""
+"""Successor-row memo: projection, invalidation, eviction; the input grid."""
 
 from __future__ import annotations
 
+import pytest
+
 from repro.fpv import TransitionSystem
+from repro.hdl import Design
+
+# A 5-bit counter: 32 states, so a 16-row memo can overflow.
+_COUNTER5_SOURCE = """
+module counter5(clk, rst, en, count);
+  input clk, rst, en;
+  output [4:0] count;
+  reg [4:0] count;
+  always @(posedge clk or posedge rst)
+    if (rst)
+      count <= 0;
+    else if (en)
+      count <= count + 1;
+endmodule
+"""
+
+#: Position of ``{"rst": 0, "en": 1}`` in the counters' input grid.
+_COUNT_UP = 1
+
+
+@pytest.fixture(scope="module")
+def counter5_design():
+    return Design.from_source(_COUNTER5_SOURCE, name="counter5")
 
 
 class TestInputGrid:
@@ -31,60 +56,88 @@ class TestInputGrid:
 class TestStepCacheProjection:
     def test_unobserved_step_returns_full_env(self, counter_design):
         system = TransitionSystem(counter_design)
-        step = system.step((3,), {"rst": 0, "en": 1})
-        assert set(step.env) == set(counter_design.model.signals)
+        signals = set(counter_design.model.signals)
+        assert set(system.step((3,), {"rst": 0, "en": 1}).env) == signals
+        assert all(set(step.env) == signals for step in system.successors((3,)))
 
     def test_observed_step_projects_env(self, counter_design):
         system = TransitionSystem(counter_design)
         system.observe({"count"})
-        step = system.step((3,), {"rst": 0, "en": 1})
+        row = system.successors((3,))
         expected = {"count"} | set(system.state_names) | set(system.input_names)
-        assert set(step.env) == expected & set(counter_design.model.signals)
-        # hit path returns the same projection
-        again = system.step((3,), {"rst": 0, "en": 1})
-        assert again.env == step.env
-        assert again.next_state == step.next_state
+        expected &= set(counter_design.model.signals)
+        assert len(row) == len(system.input_grid)
+        assert all(set(step.env) == expected for step in row)
+        assert set(system.step((3,), {"rst": 0, "en": 1}).env) == expected
+        # the hit path serves the same row
+        again = system.successors((3,))
+        assert system.step_cache_info()["hits"] == 1
+        assert [step.env for step in again] == [step.env for step in row]
+        assert [step.next_state for step in again] == [step.next_state for step in row]
 
     def test_widening_observation_invalidates_entries(self, counter_design):
         system = TransitionSystem(counter_design)
         system.observe({"count"})
-        system.step((1,), {"rst": 0, "en": 1})
-        assert system.step_cache_info()["entries"] == 1
+        system.successors((1,))
+        assert system.step_cache_info()["entries"] == len(system.input_grid)
         system.observe({"count", "clk"})
         assert system.step_cache_info()["entries"] == 0
-        step = system.step((1,), {"rst": 0, "en": 1})
-        assert "clk" in step.env
+        row = system.successors((1,))
+        assert system.step_cache_info()["misses"] == 2
+        assert all("clk" in step.env for step in row)
 
     def test_narrower_observation_is_a_noop(self, counter_design):
         system = TransitionSystem(counter_design)
         system.observe({"count", "clk"})
-        system.step((1,), {"rst": 0, "en": 1})
-        system.observe({"count"})  # subset: entries survive
-        assert system.step_cache_info()["entries"] == 1
+        row = system.successors((1,))
+        system.observe({"count"})  # subset: rows survive
+        assert system.step_cache_info()["entries"] == len(system.input_grid)
+        assert system.successors((1,)) is row
+
+    def test_widening_never_serves_narrow_rows(self, arb2_design):
+        """Rows built under a narrow observation set are dropped, not reused."""
+        system = TransitionSystem(arb2_design)
+        system.observe({"gnt_"})
+        narrow = system.successors((1,))
+        assert all("gnt1" not in step.env for step in narrow)
+        system.observe({"gnt1"})
+        widened = system.successors((1,))
+        for position, inputs in enumerate(system.input_dicts()):
+            env = widened[position].env
+            assert "gnt1" in env
+            assert env["gnt1"] == system.settle((1,), inputs)["gnt1"]
 
 
 class TestStepCacheEviction:
-    def test_full_cache_evicts_oldest_fraction_not_everything(self, counter_design):
-        system = TransitionSystem(counter_design)
-        system._step_cache_limit = 16
-        # fill the cache with distinct transitions
+    def test_full_cache_evicts_oldest_fraction_not_everything(self, counter5_design):
+        system = TransitionSystem(counter5_design)
+        width = len(system.input_grid)
+        system._rows_limit = 16 * width
+        # fill the memo with sixteen distinct rows
         for state in range(16):
-            system.step((state,), {"rst": 0, "en": 1})
+            system.successors((state,))
+        assert system.step_cache_info()["entries"] == 16 * width
+        # one more row evicts the oldest eighth of the states, not all of them
+        system.successors((16,))
         info = system.step_cache_info()
-        assert info["entries"] == 16
-        # one more insert evicts a bounded slice, keeping the working set
-        system.step((0,), {"rst": 1, "en": 0})
-        entries = system.step_cache_info()["entries"]
-        assert entries == 16 - 16 // 8 + 1  # evicted an eighth, added one
-        # the newest entries are still cached (a hit returns identical data)
-        recent = system.step((15,), {"rst": 0, "en": 1})
-        assert recent.next_state == ((15 + 1) % 16,)
+        assert info["entries"] == (16 - 16 // 8 + 1) * width
+        assert info["misses"] == 17
+        # the newest rows are still memoised and serve identical data
+        recent = system.successors((15,))
+        assert system.step_cache_info()["misses"] == 17
+        assert recent[_COUNT_UP].next_state == (16,)
+        # the oldest ones are gone
+        system.successors((0,))
+        assert system.step_cache_info()["misses"] == 18
 
     def test_eviction_preserves_correctness(self, counter_design):
         system = TransitionSystem(counter_design)
-        system._step_cache_limit = 4
+        system._rows_limit = 2 * len(system.input_grid)
         results = {}
         for state in range(8):
-            results[state] = system.step((state,), {"rst": 0, "en": 1}).next_state
+            results[state] = [step.next_state for step in system.successors((state,))]
+        assert system.step_cache_info()["entries"] <= system._rows_limit
         for state in range(8):
-            assert system.step((state,), {"rst": 0, "en": 1}).next_state == results[state]
+            row = system.successors((state,))
+            assert [step.next_state for step in row] == results[state]
+            assert row[_COUNT_UP].next_state == ((state + 1) % 16,)
