@@ -785,7 +785,6 @@ class FormalEngine:
         """
         limit = self._config.max_path_evaluations
         row = self._system.successors(state)
-        failed_at = len(row) if row.error is not None else None
         for position in range(len(self._system.input_grid)):
             alive: List[Tuple[_Obligation, Optional[_Pending]]] = []
             for obligation, pending in carriers:
@@ -798,11 +797,12 @@ class FormalEngine:
                 alive.append((obligation, pending))
             if not alive:
                 return
-            if position == failed_at:
+            try:
+                step = row.at(position)
+            except HdlError as exc:  # EvalError included
                 for obligation, _ in alive:
-                    obligation.fail(f"evaluation error: {row.error}")
+                    obligation.fail(f"evaluation error: {exc}")
                 return
-            step = row[position]
             env = step.env
             next_carriers: List[Tuple[_Obligation, Optional[_Pending]]] = []
             born: List[Tuple[_Obligation, _Pending]] = []
@@ -893,11 +893,11 @@ class FormalEngine:
                 if batch_simulation_pays(model, len(stimuli), lower):
                     self._fallback_traces = simulate_batch(model, stimuli, cycles, kernel)
             if self._fallback_traces is None:
+                # One simulator (one set of compiled kernels) for every seed:
+                # each run starts from reset.
+                simulator = Simulator(self._design, backend=self._backend)
                 self._fallback_traces = [
-                    Simulator(self._design, backend=self._backend).run(
-                        cycles=cycles, stimulus=stimulus
-                    )
-                    for stimulus in stimuli
+                    simulator.run(cycles=cycles, stimulus=stimulus) for stimulus in stimuli
                 ]
         return self._fallback_traces
 

@@ -32,7 +32,6 @@ from typing import (
     Generator,
     Iterator,
     List,
-    NoReturn,
     Optional,
     Tuple,
 )
@@ -73,20 +72,23 @@ class SuccessorRow(list):
     shared: do not mutate a row or its environments.
 
     A step that raises ends the row: the row then holds the steps before it
-    and ``error`` keeps the exception.  A caller that reaches position
-    ``len(row)`` calls :meth:`fail`; one that stops earlier (a decided
-    obligation, an exhausted budget, a truncated walk) never sees it.
+    and keeps the exception.  Read steps through :meth:`at`, which raises
+    that exception at the position where it happened, so a caller that stops
+    earlier (a decided obligation, an exhausted budget, a truncated walk)
+    never sees it.
     """
 
-    __slots__ = ("error",)
+    __slots__ = ("_error",)
 
-    def __init__(self, steps: List[TransitionStep], error: Optional[Exception] = None):
+    def __init__(self, steps: List[TransitionStep], error: Optional[HdlError] = None):
         super().__init__(steps)
-        self.error = error
+        self._error = error
 
-    def fail(self) -> NoReturn:
-        """Raise the exception that ended this row."""
-        raise self.error.with_traceback(None)
+    def at(self, position: int) -> TransitionStep:
+        """The step at ``position``, or the exception that ended the row there."""
+        if position == len(self) and self._error is not None:
+            raise self._error.with_traceback(None)
+        return self[position]
 
 
 class TransitionSystem:
@@ -432,9 +434,7 @@ def enumerate_reachable(
                 transitions += 1
                 if transitions > max_transitions:
                     return ReachabilityResult(order, False, False, transitions)
-                if position == len(row):
-                    row.fail()
-                next_state = row[position].next_state
+                next_state = row.at(position).next_state
                 if next_state not in visited:
                     visited.add(next_state)
                     order.append(next_state)
@@ -584,9 +584,9 @@ def _enumerate_reachable_vectorized(
             flat: List[int] = []
             for packed in chunk:
                 row = system.successors(unpack_state(packed))
-                if row.error is not None:
-                    row.fail()
-                flat.extend(pack_state(step.next_state) for step in row)
+                flat.extend(
+                    pack_state(row.at(position).next_state) for position in range(num_inputs)
+                )
             return np.asarray(flat, dtype=np.int64)
         states_rep = np.repeat(np.asarray(chunk, dtype=np.int64), num_inputs)
         _, next_packed = kernel.step_packed(

@@ -323,9 +323,7 @@ class SemanticContext:
             mutant_state = mutant_system.encode_state(state_values)
             golden_row = golden_system.successors(state)
             for position, inputs in enumerate(golden_system.input_dicts()):
-                if position == len(golden_row):
-                    golden_row.fail()
-                golden_step = golden_row[position]
+                golden_step = golden_row.at(position)
                 mutant_step = mutant_system.step(mutant_state, inputs)
                 for signal in signals:
                     golden_value = golden_step.env.get(signal, 0)

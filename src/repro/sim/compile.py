@@ -100,6 +100,12 @@ class CompiledEvaluator:
             return entry[1](env)
         return self.compile(expr)(env)
 
+    def constant(self, expr: ast.Expr) -> Optional[int]:
+        """The value of ``expr`` when it reads no signal, else ``None``."""
+        if expr.signals() & self._signal_names:
+            return None
+        return self._interp.eval(expr, {})
+
     def compile(self, expr: ast.Expr) -> Kernel:
         """Return (building and caching if needed) the kernel for ``expr``."""
         entry = self._by_id.get(id(expr))
@@ -117,8 +123,8 @@ class CompiledEvaluator:
     def _build(self, expr: ast.Expr) -> Kernel:
         # Anything with no signal references is a compile-time constant; the
         # interpreter defines the reference semantics (masking included).
-        if not (expr.signals() & self._signal_names):
-            value = self._interp.eval(expr, {})
+        value = self.constant(expr)
+        if value is not None:
             return lambda env: value
 
         if isinstance(expr, ast.Identifier):
@@ -178,10 +184,21 @@ class CompiledEvaluator:
 
     def _build_bit_select(self, expr: ast.BitSelect) -> Kernel:
         base = self.compile(expr.base)
-        if not (expr.index.signals() & self._signal_names):
-            index = self._interp.eval(expr.index, {})
+        index = self.constant(expr.index)
+        if index is not None:
             if index < 0:
                 raise EvalError(f"negative bit index {index}")
+            if isinstance(expr.base, ast.Identifier):
+                # A constant bit of a signal: read the signal inline.
+                name = expr.base.name
+
+                def signal_bit(env: Env) -> int:
+                    try:
+                        return (env[name] >> index) & 1
+                    except KeyError:
+                        raise EvalError(f"unknown signal {name!r}") from None
+
+                return signal_bit
             return lambda env: (base(env) >> index) & 1
         index_k = self.compile(expr.index)
 
@@ -332,11 +349,7 @@ class CompiledExecutor:
 
             return block
         if isinstance(stmt, ast.Assignment):
-            value = self._eval.compile(stmt.value)
-            store = self.compile_store(stmt.target)
-            if stmt.blocking:
-                return lambda env, nonblocking: store(value(env), env, env)
-            return lambda env, nonblocking: store(value(env), env, nonblocking)
+            return self.compile_assign(stmt.target, stmt.value, stmt.blocking)
         if isinstance(stmt, ast.If):
             cond = self._eval.compile(stmt.condition)
             then = self.compile_stmt(stmt.then_body)
@@ -366,6 +379,24 @@ class CompiledExecutor:
                 for item in stmt.items
             )
             default = self.compile_stmt(stmt.default) if stmt.default is not None else None
+            constants = [self._eval.constant(label) for item in stmt.items for label in item.labels]
+            if None not in constants:
+                # Every label is a constant: one dict lookup picks the arm
+                # (the first arm listing a value wins, as in the scan below).
+                table: Dict[int, StmtKernel] = {}
+                labels = iter(constants)
+                for item, (_, body) in zip(stmt.items, arms):
+                    for _ in item.labels:
+                        table.setdefault(next(labels), body)
+
+                def case_table(env: Env, nonblocking: Env) -> None:
+                    body = table.get(subject(env))
+                    if body is not None:
+                        body(env, nonblocking)
+                    elif default is not None:
+                        default(env, nonblocking)
+
+                return case_table
 
             def case(env: Env, nonblocking: Env) -> None:
                 value = subject(env)
@@ -381,6 +412,56 @@ class CompiledExecutor:
         raise EvalError(f"unsupported statement {stmt!r}")
 
     # -- assignment-target compilation ----------------------------------------
+
+    def compile_assign(
+        self, target: ast.Expr, value_expr: ast.Expr, blocking: bool = True
+    ) -> StmtKernel:
+        """One assignment as a statement kernel.
+
+        A whole signal, or a bit or part of one at constant positions, is
+        stored inline; any other target goes through its store kernel.
+        """
+        value = self._eval.compile(value_expr)
+        if isinstance(target, ast.Identifier):
+            name = target.name
+            mask = self._model.signal(name).mask
+
+            def assign_signal(env: Env, nonblocking: Env) -> None:
+                (env if blocking else nonblocking)[name] = value(env) & mask
+
+            return assign_signal
+        field = self._constant_field(target)
+        if field is not None:
+            name, lsb, field_mask = field
+            mask = self._model.signal(name).mask
+            keep = ~(field_mask << lsb)
+
+            def assign_field(env: Env, nonblocking: Env) -> None:
+                new = value(env)
+                sink = env if blocking else nonblocking
+                current = sink.get(name)
+                if current is None:
+                    current = env.get(name, 0)
+                sink[name] = ((current & keep) | ((new & field_mask) << lsb)) & mask
+
+            return assign_field
+        store = self.compile_store(target)
+        return lambda env, nonblocking: store(value(env), env, env if blocking else nonblocking)
+
+    def _constant_field(self, target: ast.Expr) -> Optional[Tuple[str, int, int]]:
+        """``(signal, lsb, field mask)`` of a bit or part select whose
+        positions are non-negative constants, else ``None``."""
+        if isinstance(target, ast.BitSelect):
+            bounds = (self._eval.constant(target.index),) * 2
+        elif isinstance(target, ast.PartSelect):
+            bounds = (self._eval.constant(target.msb), self._eval.constant(target.lsb))
+        else:
+            return None
+        if None in bounds or min(bounds) < 0:
+            return None
+        name = self._target_name(target)
+        high, low = max(bounds), min(bounds)
+        return name, low, (1 << (high - low + 1)) - 1
 
     def compile_store(self, target: ast.Expr) -> StoreKernel:
         entry = self._store_by_id.get(id(target))
@@ -461,17 +542,13 @@ def compile_comb_pass(model: RtlModel, evaluator, executor) -> Optional[Callable
     """
     if not isinstance(executor, CompiledExecutor):
         return None
-    assigns = tuple(
-        (evaluator.compile(assign.value), executor.compile_store(assign.target))
-        for assign in model.assigns
-    )
-    processes = tuple(executor.compile_stmt(process.body) for process in model.comb_processes)
+    kernels = tuple(
+        executor.compile_assign(assign.target, assign.value) for assign in model.assigns
+    ) + tuple(executor.compile_stmt(process.body) for process in model.comb_processes)
 
     def comb_pass(env: Env) -> None:
-        for value, store in assigns:
-            store(value(env), env, env)
-        for process in processes:
-            process(env, env)
+        for kernel in kernels:
+            kernel(env, env)
 
     return comb_pass
 
@@ -499,7 +576,7 @@ class CombSettle:
         targets = self._targets
         comb_pass = self._comb_pass
         for _ in range(max_iterations):
-            before = [env.get(name) for name in targets]
+            before = list(map(env.get, targets))
             if comb_pass is not None:
                 comb_pass(env)
             else:
@@ -508,7 +585,7 @@ class CombSettle:
                     self._executor.store(assign.target, value, env, env)
                 for process in self._model.comb_processes:
                     self._executor.run_combinational(process.body, env)
-            if [env.get(name) for name in targets] == before:
+            if list(map(env.get, targets)) == before:
                 return True
         return False
 

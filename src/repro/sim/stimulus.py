@@ -59,15 +59,15 @@ class RandomStimulus(Stimulus):
 
     def vectors(self, model: RtlModel, cycles: int) -> Iterator[Dict[str, int]]:
         rng = random.Random(self._seed)
+        # randrange(n) draws exactly what randint(0, n - 1) draws.
+        randrange = rng.randrange
+        bounds = [(name, model.signals[name].max_value + 1) for name in model.non_clock_inputs]
         previous: Optional[Dict[str, int]] = None
         for _ in range(cycles):
             if previous is not None and rng.random() < self._hold_probability:
                 yield dict(previous)
                 continue
-            vector = {}
-            for name in model.non_clock_inputs:
-                signal = model.signals[name]
-                vector[name] = rng.randint(0, signal.max_value)
+            vector = {name: randrange(bound) for name, bound in bounds}
             previous = vector
             yield dict(vector)
 

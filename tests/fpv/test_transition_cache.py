@@ -6,6 +6,7 @@ import pytest
 
 from repro.fpv import TransitionSystem
 from repro.hdl import Design
+from repro.sim import EvalError
 
 # A 5-bit counter: 32 states, so a 16-row memo can overflow.
 _COUNTER5_SOURCE = """
@@ -51,6 +52,25 @@ class TestInputGrid:
         names = system.input_names
         from_grid = [dict(zip(names, combo)) for combo in system.input_grid]
         assert from_grid == list(system.enumerate_inputs())
+
+
+class TestSuccessorRow:
+    def test_row_raises_its_error_at_the_failing_position(self, counter_design, monkeypatch):
+        original = TransitionSystem._compute_step
+
+        def compute_step(system, state, inputs):
+            if inputs == {"rst": 0, "en": 1}:
+                raise EvalError("injected failure")
+            return original(system, state, inputs)
+
+        monkeypatch.setattr(TransitionSystem, "_compute_step", compute_step)
+        system = TransitionSystem(counter_design)
+        row = system.successors((3,))
+        assert len(row) == _COUNT_UP
+        assert row.at(0).next_state == (3,)
+        for _ in range(2):  # the memoised row raises every time it is reached
+            with pytest.raises(EvalError, match="injected failure"):
+                system.successors((3,)).at(_COUNT_UP)
 
 
 class TestStepCacheProjection:

@@ -78,6 +78,37 @@ _exprs = st.recursive(
     max_leaves=12,
 )
 
+_signal_targets = st.sampled_from(sorted(_SIGNAL_WIDTHS)).map(ast.Identifier)
+# Constant positions, including ones past the signal's width and part
+# selects written low-to-high.
+_targets = st.one_of(
+    _signal_targets,
+    st.tuples(_signal_targets, st.integers(0, 6)).map(
+        lambda t: ast.BitSelect(t[0], ast.Number(t[1]))
+    ),
+    st.tuples(_signal_targets, st.integers(0, 6), st.integers(0, 6)).map(
+        lambda t: ast.PartSelect(t[0], ast.Number(t[1]), ast.Number(t[2]))
+    ),
+    st.tuples(_signal_targets, _signal_targets).map(
+        lambda t: ast.BitSelect(t[0], t[1])
+    ),
+)
+# Small constant labels repeat across arms; identifiers make a label dynamic.
+_labels = st.lists(st.one_of(st.integers(0, 5).map(ast.Number), _atoms), min_size=1, max_size=2)
+_statements = st.recursive(
+    st.builds(ast.Assignment, _targets, _exprs, st.booleans()),
+    lambda children: st.one_of(
+        st.lists(children, min_size=1, max_size=3).map(ast.Block),
+        st.builds(
+            ast.Case,
+            _exprs,
+            st.lists(st.builds(ast.CaseItem, _labels, children), min_size=1, max_size=4),
+            st.one_of(st.none(), children),
+        ),
+    ),
+    max_leaves=6,
+)
+
 _envs = st.fixed_dictionaries(
     {name: st.integers(0, (1 << width) - 1) for name, width in _SIGNAL_WIDTHS.items()}
 )
@@ -261,6 +292,56 @@ class TestStoreTargets:
         executor.store(parse_expression("a[3]"), 0, env, sink)
         assert sink["a"] == 0b0100
         assert env["a"] == 0b1111
+
+
+class TestStatementEquivalence:
+    """Random statement bodies leave identical environments on both backends."""
+
+    @staticmethod
+    def _outcome(run):
+        try:
+            run()
+        except EvalError:
+            return "EvalError"
+        return None
+
+    @settings(max_examples=300, deadline=None)
+    @given(stmt=_statements, env=_envs)
+    def test_random_statements_agree(self, adder_design, stmt, env):
+        results = []
+        for backend in (INTERPRETED, COMPILED):
+            executor = make_executor(adder_design.model, backend=backend)
+            clocked, staged = dict(env), {}
+            comb = dict(env)
+            results.append((
+                self._outcome(lambda: executor.run_sequential(stmt, clocked, staged)),
+                clocked,
+                staged,
+                self._outcome(lambda: executor.run_combinational(stmt, comb)),
+                comb,
+            ))
+        assert results[0] == results[1]
+
+    def test_case_takes_first_arm_listing_a_label(self, adder_design):
+        # The value 2 is listed by two arms; the first one wins.
+        def set_sum(value):
+            return ast.Assignment(ast.Identifier("sum"), ast.Number(value))
+
+        case = ast.Case(
+            parse_expression("a"),
+            [
+                ast.CaseItem([ast.Number(1), ast.Number(2)], set_sum(1)),
+                ast.CaseItem([ast.Number(2)], set_sum(2)),
+            ],
+            set_sum(3),
+        )
+        for backend in (INTERPRETED, COMPILED):
+            executor = make_executor(adder_design.model, backend=backend)
+            for a, expected in ((1, 1), (2, 1), (5, 3)):
+                env = {name: 0 for name in _SIGNAL_WIDTHS}
+                env["a"] = a
+                executor.run_combinational(case, env)
+                assert env["sum"] == expected, (backend, a)
 
 
 class TestSimulatorEquivalence:

@@ -115,6 +115,21 @@ class TestStimulus:
         assert len(vectors) == 20
         assert all(v["en"] in (0, 1) for v in vectors)
 
+    def test_random_stimulus_draws_one_randint_per_input(self, adder_design):
+        # Stored traces depend on this exact sequence of draws.
+        import random
+
+        rng = random.Random(5)
+        expected = []
+        for cycle in range(16):
+            if cycle:
+                rng.random()  # the hold draw (never holds at probability 0)
+            expected.append({
+                name: rng.randint(0, adder_design.model.signals[name].max_value)
+                for name in adder_design.model.non_clock_inputs
+            })
+        assert list(RandomStimulus(seed=5).vectors(adder_design.model, 16)) == expected
+
     def test_directed_stimulus_cycles_patterns(self, counter_design):
         stim = DirectedStimulus([{"en": 1}, {"en": 0}])
         vectors = list(stim.vectors(counter_design.model, 4))
