@@ -146,11 +146,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--no-semantic-filter", action="store_true",
         help="keep mutants with no detectable difference from the golden design",
     )
-    mutate_parser.add_argument(
-        "--no-family", action="store_true",
-        help="disable family-batched verification (reference per-mutant path; "
-             "verdict outcomes are identical, only slower)",
-    )
 
     resume_parser = sub.add_parser(
         "resume",
@@ -330,7 +325,6 @@ def _print_run_stats(run_stats: dict) -> None:
             f"[{family.get('family_soa_members', 0)} soa, "
             f"{family.get('family_multilimb_members', 0)} multilimb], "
             f"{family.get('fallback_members', 0)} fallback), "
-            f"{family.get('memo_reused', 0)} memo-reused verdicts, "
             f"{family.get('delta_escape_states', 0)} delta escape states"
         )
     lowering = run_stats.get("lowering", {})
@@ -403,7 +397,6 @@ def _mutate(args: argparse.Namespace) -> int:
         operators=list(args.operators) if args.operators is not None else None,
         limit_per_design=max(1, limit) if limit is not None else None,
         semantic_filter=not args.no_semantic_filter,
-        family_batching=not args.no_family,
     )
     try:
         # Fail fast on unknown operator names (the library is the single

@@ -23,8 +23,6 @@ PASS = "pass"
 CEX = "cex"
 ERROR = "error"
 
-_CATEGORIES = (PASS, CEX, ERROR)
-
 
 def categorize(result: ProofResult) -> str:
     """Map a proof verdict onto the paper's three-bucket metric."""

@@ -11,7 +11,9 @@ discharge generated assertions:
 3. design-level batches are dispatched across a ``ProcessPoolExecutor`` when
    more than one worker is configured, with deterministic result ordering,
 4. a verdict cache keyed by (design name, normalised assertion text) fronts
-   the whole flow.
+   design-level batches; mutant families
+   (:meth:`~VerificationService.check_families`) skip it, since the mutation
+   log is the durable record of every mutant verdict.
 
 With workers configured, a batch whose worker raises or dies is re-run
 in-process once; a crashed worker breaks the whole pool, so the pool is
@@ -409,129 +411,67 @@ class VerificationService:
         """Check mutant families, one family per worker task.
 
         Returns, per job, one verdict list per mutant aligned with the job's
-        assertion order.  The verdict cache is consulted per (mutant,
-        assertion) before dispatch: mutants whose every verdict is cached
-        never reach a worker, and every fresh verdict is stored afterwards.
+        assertion order.  Every mutant is verified: mutant verdicts bypass
+        the verdict cache, since the mutation log is their one durable
+        record and a rerun replays it before any cell reaches this service.
         Reachability sets — the golden design's and every mutant's — ride
         the same parent-process cache as design-level dispatch.
         """
         engine_config = self._config.engine
-        results: List[Optional[List[List[ProofResult]]]] = [None] * len(jobs)
-        dispatch: List[Tuple[int, Design, List, List[str], Dict]] = []
-        cached_layers: List[Dict[Tuple[int, int], ProofResult]] = []
+        workers = self.effective_workers()
+        #: (job index, golden, shard mutant designs, texts, preloads)
+        shards: List[Tuple[int, Design, List[Design], List[str], Dict]] = []
         for job_index, (golden, mutants, assertions) in enumerate(jobs):
-            mutants = list(mutants)
+            designs = [mutant.design for mutant in mutants]
             texts = [_assertion_text(assertion) for assertion in assertions]
-            cached: Dict[Tuple[int, int], ProofResult] = {}
-            pending_mutants: List = []
-            for position, mutant in enumerate(mutants):
-                design_key = _design_key(mutant.design)
-                missing = False
-                for text_index, text in enumerate(texts):
-                    verdict = self._cache.get(design_key, text)
-                    if verdict is None:
-                        missing = True
-                    else:
-                        cached[(position, text_index)] = verdict
-                if missing:
-                    pending_mutants.append((position, mutant))
-            cached_layers.append(cached)
-            if not pending_mutants:
-                results[job_index] = [
-                    [cached[(position, text_index)] for text_index in range(len(texts))]
-                    for position in range(len(mutants))
-                ]
-                continue
             preloads: Dict = {}
-            for design in [golden] + [mutant.design for _, mutant in pending_mutants]:
+            for design in [golden] + designs:
                 key = reachability_key(design, engine_config)
                 hit = self._reachability_cache.get(key)
                 if hit is not None:
                     preloads[key] = hit
-            dispatch.append((job_index, golden, pending_mutants, texts, preloads))
-
-        if dispatch:
-            workers = self.effective_workers()
             # A family is the semantic unit, but not the scheduling unit:
             # the mutation campaign hands over one family at a time, so a
             # single job is sliced along its mutant axis to keep every
-            # worker busy.  Per-mutant verdicts are independent of family
-            # composition (the memo always compares against the golden
-            # design), so slicing never changes a result.
-            shards: List[Tuple[int, List]] = []  # (job index, shard mutants)
-            for entry in dispatch:
-                job_index, golden, pending_mutants, _, preloads = entry
-                count = (
-                    min(len(pending_mutants), max(1, workers // len(dispatch)))
-                    if workers > 1
-                    else 1
-                )
-                if count > 1:
-                    # Pay the golden BFS once in the parent instead of once
-                    # per shard; every shard then preloads the same set.
-                    key = reachability_key(golden, engine_config)
-                    if key not in preloads:
-                        engine = FormalEngine(
-                            golden, engine_config, self._reachability_cache
-                        )
-                        explored = engine.explore_reachability()
-                        if explored is not None:
-                            preloads[key] = explored
-                size = (len(pending_mutants) + count - 1) // count
-                for start in range(0, len(pending_mutants), size):
-                    shards.append((job_index, pending_mutants[start : start + size]))
-            by_index = {entry[0]: entry for entry in dispatch}
-
-            def shard_args(job_index: int, shard_mutants: List):
-                _, golden, _, texts, preloads = by_index[job_index]
-                return (
-                    golden,
-                    [mutant.design for _, mutant in shard_mutants],
-                    texts,
-                    engine_config,
-                    preloads,
+            # worker busy.  Each member's verdicts depend on that member
+            # alone, so slicing never changes a result.
+            count = max(1, min(len(designs), workers // len(jobs)))
+            if count > 1:
+                # Pay the golden BFS once in the parent instead of once per
+                # shard; every shard then preloads the same set.
+                key = reachability_key(golden, engine_config)
+                if key not in preloads:
+                    engine = FormalEngine(golden, engine_config, self._reachability_cache)
+                    explored = engine.explore_reachability()
+                    if explored is not None:
+                        preloads[key] = explored
+            size = max(1, -(-len(designs) // count))
+            for start in range(0, len(designs), size):
+                shards.append(
+                    (job_index, golden, designs[start : start + size], texts, preloads)
                 )
 
-            outcomes = self._run_batches(
-                _check_family_job,
-                [shard_args(job_index, shard_mutants) for job_index, shard_mutants in shards],
-            )
-            touched: List[int] = []
-            for (job_index, shard_mutants), outcome in zip(shards, outcomes):
-                _, _, _, texts, _ = by_index[job_index]
-                cached = cached_layers[job_index]
-                if job_index not in touched:
-                    touched.append(job_index)
-                if isinstance(outcome, Exception):
-                    for position, mutant in shard_mutants:
-                        for text_index, text in enumerate(texts):
-                            cached.setdefault(
-                                (position, text_index),
-                                _failed_batch_result(mutant.design, text, outcome),
-                            )
-                    continue
-                verdicts, fresh, family_stats = outcome
-                for key, result in fresh.items():
-                    self._reachability_cache.put(key, result)
-                self._merge_family_stats(family_stats)
-                stored: List[Tuple[str, str, ProofResult]] = []
-                for (position, mutant), mutant_verdicts in zip(shard_mutants, verdicts):
-                    design_key = _design_key(mutant.design)
-                    for text_index, (text, verdict) in enumerate(
-                        zip(texts, mutant_verdicts)
-                    ):
-                        cached[(position, text_index)] = verdict
-                        stored.append((design_key, text, verdict))
-                self._cache.put_many(stored)
-            for job_index in touched:
-                _, _, _, texts, _ = by_index[job_index]
-                mutants = list(jobs[job_index][1])
-                cached = cached_layers[job_index]
-                results[job_index] = [
-                    [cached[(position, text_index)] for text_index in range(len(texts))]
-                    for position in range(len(mutants))
-                ]
-        return results  # type: ignore[return-value]
+        outcomes = self._run_batches(
+            _check_family_job,
+            [
+                (golden, designs, texts, engine_config, preloads)
+                for _, golden, designs, texts, preloads in shards
+            ],
+        )
+        results: List[List[List[ProofResult]]] = [[] for _ in jobs]
+        for (job_index, _, designs, texts, _), outcome in zip(shards, outcomes):
+            if isinstance(outcome, Exception):
+                results[job_index].extend(
+                    [_failed_batch_result(design, text, outcome) for text in texts]
+                    for design in designs
+                )
+                continue
+            verdicts, fresh, family_stats = outcome
+            for key, result in fresh.items():
+                self._reachability_cache.put(key, result)
+            self._merge_family_stats(family_stats)
+            results[job_index].extend(verdicts)
+        return results
 
     def _merge_family_stats(self, family_stats: Dict[str, int]) -> None:
         with self._stats_lock:

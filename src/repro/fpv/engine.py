@@ -207,7 +207,6 @@ class _Obligation:
         "triggered",
         "decided",
         "witness",
-        "witness_pairs",
         "error",
     )
 
@@ -246,10 +245,6 @@ class _Obligation:
         self.triggered = False
         self.decided = False
         self.witness: Optional[Tuple[List[Dict[str, int]], str]] = None
-        #: (state index, input index) path of a vectorized-sweep witness —
-        #: lets a family memo re-materialise the same refutation on another
-        #: family member's table without re-running the path search.
-        self.witness_pairs: Optional[List[Tuple[int, int]]] = None
         self.error: Optional[str] = None
 
     def restart(self) -> "_Obligation":
@@ -305,6 +300,9 @@ class FormalEngine:
         self._evaluator = make_evaluator(design.model, self._backend)
         self._checker = TraceChecker(design.model, backend=self._backend)
         self._reachability: Optional[ReachabilityResult] = None
+        #: The error a failed reachability walk raised; re-raised instead of
+        #: walking again for every assertion of the batch.
+        self._reachability_error: Optional[HdlError] = None
         self._reachability_cache = reachability_cache
         self._fallback_traces: Optional[List] = None
         self._table = None
@@ -514,6 +512,8 @@ class FormalEngine:
         return self._reachable() if self._enumerable() else None
 
     def _reachable(self) -> ReachabilityResult:
+        if self._reachability_error is not None:
+            raise self._reachability_error.with_traceback(None)
         if self._reachability is None:
             key = None
             if self._reachability_cache is not None:
@@ -522,11 +522,15 @@ class FormalEngine:
                 if cached is not None:
                     self._reachability = cached
                     return cached
-            self._reachability = enumerate_reachable(
-                self._system,
-                max_states=self._config.max_states,
-                max_transitions=self._config.max_transitions,
-            )
+            try:
+                self._reachability = enumerate_reachable(
+                    self._system,
+                    max_states=self._config.max_states,
+                    max_transitions=self._config.max_transitions,
+                )
+            except HdlError as exc:  # EvalError included
+                self._reachability_error = exc
+                raise
             if key is not None:
                 self._reachability_cache.put(key, self._reachability)
         return self._reachability
@@ -649,7 +653,6 @@ class FormalEngine:
             for expr, text in obligation.consequent_exprs[0]
             if not table.truth(expr)[pair]
         )
-        obligation.witness_pairs = [pair]
         obligation.refute((table.env_rows([pair], self._system.observed_signals), failed))
 
     def _vec_deep_recursive(self, obligation: _Obligation, table) -> None:
@@ -764,7 +767,6 @@ class FormalEngine:
                 and not obligation.budget_exhausted
             ):
                 cycles = table.env_rows(born.path, self._system.observed_signals)
-                obligation.witness_pairs = list(born.path)
                 obligation.refute((cycles, born.term))
 
     # -- the scalar sweep --------------------------------------------------------------
@@ -853,11 +855,7 @@ class FormalEngine:
         self, obligation: _Obligation, reachability: ReachabilityResult
     ) -> ProofResult:
         return assemble_exhaustive_result(
-            obligation,
-            reachability,
-            self._design.name,
-            self._system.state_names,
-            self._system.input_names,
+            obligation, reachability, self._design.name, self._system
         )
 
     def _term_fn(self, expr):
@@ -947,8 +945,7 @@ def assemble_exhaustive_result(
     obligation: _Obligation,
     reachability: ReachabilityResult,
     design_name: str,
-    state_names: Sequence[str],
-    input_names: Sequence[str],
+    system: TransitionSystem,
 ) -> ProofResult:
     """Turn one decided exhaustive obligation into its :class:`ProofResult`.
 
@@ -961,18 +958,20 @@ def assemble_exhaustive_result(
     if obligation.witness is not None:
         cycles, failed_term = obligation.witness
         # Canonicalise witness cycles to this assertion's signals (plus
-        # state and inputs): identical whether the assertion was checked
-        # solo or in a batch, and identical across all three backends.
+        # state and inputs), in model signal order: identical whether the
+        # assertion was checked solo or in a batch, across all three
+        # backends, and whatever the string hash seed.
         keep = set(assertion.signals())
-        keep.update(state_names)
-        keep.update(input_names)
+        keep.update(system.state_names)
+        keep.update(system.input_names)
+        names = [name for name in system.model.signals if name in keep]
         return ProofResult(
             status=ProofStatus.CEX,
             assertion=assertion,
             design_name=design_name,
             counterexample=Counterexample(
                 cycles=[
-                    {name: value for name, value in cycle.items() if name in keep}
+                    {name: cycle[name] for name in names if name in cycle}
                     for cycle in cycles
                 ],
                 trigger_cycle=0,

@@ -26,10 +26,11 @@ with that mutant's id, and every BFS is the one packed wave walk of
   Order, transition counts, and truncation points are identical to the
   mutant's own BFS, and results land in the shared
   :class:`~repro.fpv.engine.ReachabilityCache` under each member's own key.
-* **Obligation memoisation** — the proposition truth matrices are built once
-  per family; a mutant whose matrices (and next-state table) are identical
-  to the golden design's inherits the golden obligation verdict outright,
-  re-materialising only the witness environments.
+* **Member tables** — the proposition truth matrices and next-state rows of
+  every member over the golden reachable states come from one batched
+  kernel call per member chunk; each member's table gathers its rows from
+  them (plus its walk's escape rows) and runs the engine's one table
+  runner.
 
 Every :class:`~repro.fpv.result.ProofResult` field, counterexample cycles
 included, equals what ``FormalEngine(mutant).check_batch`` returns.
@@ -87,7 +88,6 @@ class FamilyStats:
         self.family_soa_members = 0
         self.family_multilimb_members = 0
         self.fallback_members = 0
-        self.memo_reused = 0
         self.delta_escape_states = 0
 
     def as_dict(self) -> Dict[str, int]:
@@ -178,9 +178,6 @@ class _MemberWalk:
         self.escape_states = 0
         self.result: Optional[ReachabilityResult] = None
         self.order_packed: List[int] = []
-        #: True when the walk produced exactly the golden order (no escapes,
-        #: no re-ordering, no truncation differences).
-        self.matches_golden = False
 
     def gather(self) -> np.ndarray:
         """Fill the chunk's rows from the golden tables; return its escapes."""
@@ -227,11 +224,6 @@ class _MemberWalk:
             self.order_packed = order
             if not complete:
                 self.drop_rows()
-            self.matches_golden = (
-                complete
-                and not self.escape_states
-                and order == self._sweep.packed_states.tolist()
-            )
             return False
         return True
 
@@ -312,34 +304,30 @@ def _walk_members(
 
 
 class _MemberTable(ObligationTable):
-    """Obligation table of one family member (member 0 is the golden design).
+    """Obligation table of one family member.
 
-    Rows are the member's reachable states in its own reachability order;
-    every lane is stepped through the family kernel with this member's id.
-    ``next_packed`` and ``truths`` are the member's rows over the golden
-    reachable states: states inside the golden set gather them, escape
-    states take the rows their delta walk stepped (``walk``; the golden
-    design has none), or are stepped again here if the walk dropped them.
+    Rows are the member's reachable states in its own reachability order
+    (``walk``'s); every lane is stepped through the family kernel with the
+    walk's member id.  ``next_packed`` and ``truths`` are the member's rows
+    over the golden reachable states: states inside the golden set gather
+    them, escape states take the rows their delta walk stepped, or are
+    stepped again here if the walk dropped them.
     """
 
     def __init__(
         self,
         sweep: _FamilySweep,
-        member: int,
-        order_packed,
+        walk: _MemberWalk,
         next_packed: np.ndarray,
         truths: Dict[object, np.ndarray],
         exprs: Sequence,
-        walk: Optional[_MemberWalk] = None,
-        index: Optional[PackedStateIndex] = None,
     ) -> None:
         super().__init__(
             sweep.kernel,
-            np.asarray(order_packed, dtype=np.int64),
+            np.asarray(walk.order_packed, dtype=np.int64),
             sweep.packed_grid,
             sweep.system.model.signals,
-            member,
-            index,
+            walk.member,
         )
         golden_rows = sweep.golden_rows(self._packed_states)
         inside = golden_rows >= 0
@@ -348,7 +336,7 @@ class _MemberTable(ObligationTable):
         rows[inside] = next_packed[gather]
         escape_truths: Dict[object, np.ndarray] = {}
         if not inside.all():
-            escapes = walk.expanded_escapes(exprs) if walk is not None else None
+            escapes = walk.expanded_escapes(exprs)
             if escapes is None:
                 states = self._packed_states[~inside]
                 escapes = step_rows(
@@ -535,7 +523,7 @@ def _sweep_members(
     system = golden_engine._system
     sweep = _FamilySweep(system, lowering.kernel, golden_reach)
 
-    # -- obligations on the golden design (member 0) ----------------------------
+    # -- obligations, derived once on the golden design ------------------------
     golden_obligations: Dict[int, _Obligation] = {}
     obligation_errors: Dict[int, str] = {}
     for index, assertion in bound:
@@ -556,23 +544,12 @@ def _sweep_members(
             for expr in obligation.term_exprs()
         )
     )
-    # Golden tables back the memo comparisons for every member.
-    S = sweep.num_states
-    golden_next, golden_truths = step_rows(
-        sweep.kernel, sweep.packed_states, sweep.packed_grid, exprs,
-        np.zeros(S, dtype=np.int64),
-    )
-    golden_table = _MemberTable(
-        sweep, 0, sweep.packed_states, golden_next, golden_truths, exprs,
-        index=sweep.index,
-    )
-    for obligation in golden_obligations.values():
-        golden_engine._run_table_obligation(obligation, golden_table)
 
     # -- per-member work, chunked along the member axis -------------------------
     bytes_per_member = _member_bytes(sweep, len(exprs), config.max_states)
     chunk_size = max(1, _MEMBER_CHUNK_BYTES // bytes_per_member)
     sim_pending: List[Tuple[int, List[int], Optional[ReachabilityResult]]] = []
+    S = sweep.num_states
 
     for chunk_start in range(0, len(family_positions), chunk_size):
         chunk_positions = family_positions[chunk_start : chunk_start + chunk_size]
@@ -597,17 +574,13 @@ def _sweep_members(
         keep_bytes = max(0, _MEMBER_CHUNK_BYTES - len(chunk_members) * bytes_per_member)
         _walk_members(sweep, walks, exprs, keep_bytes)
         for position, walk, block in zip(chunk_positions, walks, blocks):
-            member = walk.member
             mutant = mutants[position]
-            next_packed = next_rows[block]
-            truths = {expr: rows[block] for expr, rows in truth_rows.items()}
             reach = walk.result
             stats.delta_escape_states += walk.escape_states
             if reachability_cache is not None:
                 reachability_cache.put(reachability_key(mutant, config), reach)
             leftover: List[int] = []
             member_table: Optional[_MemberTable] = None
-            tables_match = walk.matches_golden and np.array_equal(next_packed, golden_next)
             for index, assertion in bound:
                 # Same order as the engine: the budget gate first, then the
                 # obligation's own errors, then the table run.
@@ -623,28 +596,13 @@ def _sweep_members(
                 if obligation_g is None:  # a term the family kernel cannot lower
                     leftover.append(index)
                     continue
-                if tables_match and all(
-                    np.array_equal(truths[expr], golden_truths[expr])
-                    for expr in obligation_g.term_exprs()
-                ):
-                    if obligation_g.witness is not None and member_table is None:
-                        member_table = _MemberTable(
-                            sweep, member, walk.order_packed,
-                            next_packed, truths, exprs, walk,
-                        )
-                    outcome = _memo_result(
-                        obligation_g, member_table, reach, mutant.name, system
-                    )
-                    if outcome is None:
-                        leftover.append(index)  # golden exhausted its budget
-                    else:
-                        member_results[position][index] = outcome
-                        stats.memo_reused += 1
-                    continue
                 if member_table is None:
                     member_table = _MemberTable(
-                        sweep, member, walk.order_packed,
-                        next_packed, truths, exprs, walk,
+                        sweep,
+                        walk,
+                        next_rows[block],
+                        {expr: rows[block] for expr, rows in truth_rows.items()},
+                        exprs,
                     )
                 obligation_m = obligation_g.restart()
                 golden_engine._run_table_obligation(obligation_m, member_table)
@@ -652,8 +610,7 @@ def _sweep_members(
                     leftover.append(index)
                 else:
                     member_results[position][index] = assemble_exhaustive_result(
-                        obligation_m, reach, mutant.name,
-                        system.state_names, system.input_names,
+                        obligation_m, reach, mutant.name, system
                     )
             walk.drop_rows()
             if leftover:
@@ -667,42 +624,6 @@ def _member_bytes(sweep: _FamilySweep, num_exprs: int, max_states: int) -> int:
     its walk's visited set."""
     return sweep.num_states * sweep.num_inputs * (8 + max(num_exprs, 1)) + visited_bytes(
         sum(sweep.kernel.state_widths), max_states
-    )
-
-
-def _memo_result(
-    obligation_g: _Obligation,
-    member_table: Optional[_MemberTable],
-    reach: ReachabilityResult,
-    design_name: str,
-    system: TransitionSystem,
-) -> Optional[ProofResult]:
-    """Reuse the golden verdict for a member with identical tables.
-
-    The obligation outcome is a deterministic function of the truth
-    matrices, next-state table, and engine budgets — all equal here — so the
-    decision transfers wholesale; only a counterexample's environments are
-    re-materialised through the member's lanes (``member_table`` is only
-    needed — and only built by the caller — in that case).  Returns ``None``
-    when the golden obligation exhausted its budget (the member then falls
-    back to bounded simulation on its *own* traces, exactly like the
-    per-mutant path).
-    """
-    if obligation_g.budget_exhausted:
-        return None
-    clone = obligation_g.restart()
-    clone.triggered = obligation_g.triggered
-    clone.error = obligation_g.error
-    clone.decided = obligation_g.decided
-    if obligation_g.witness is not None:
-        if obligation_g.witness_pairs is None or member_table is None:
-            return None  # pragma: no cover - vectorized refutes always set pairs
-        cycles = member_table.env_rows(
-            obligation_g.witness_pairs, system.observed_signals
-        )
-        clone.witness = (cycles, obligation_g.witness[1])
-    return assemble_exhaustive_result(
-        clone, reach, design_name, system.state_names, system.input_names
     )
 
 

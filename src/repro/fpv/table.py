@@ -54,12 +54,6 @@ class PackedStateIndex:
                 for index, packed in enumerate(packed_states.tolist())
             }
 
-    def index(self, packed: int) -> int:
-        """Row index of one packed state, or -1."""
-        if self._lookup is not None:
-            return int(self._lookup[packed])
-        return self._lookup_dict.get(packed, -1)
-
     def indices(self, packed: np.ndarray) -> np.ndarray:
         """Row indices of a packed-state array (vectorized where possible)."""
         if self._lookup is not None:
@@ -133,9 +127,7 @@ class ObligationTable:
 
     :meth:`ensure_terms` steps the whole table for any truth matrix (or the
     next-state index) not supplied up front, and :meth:`env_rows` re-steps
-    the few lanes of a counterexample path.  ``index`` reuses a caller's
-    :class:`PackedStateIndex` over ``packed_states`` instead of building
-    another.
+    the few lanes of a counterexample path.
     """
 
     def __init__(
@@ -145,18 +137,13 @@ class ObligationTable:
         packed_grid: np.ndarray,
         signals: Sequence[str],
         member: Optional[int] = None,
-        index: Optional[PackedStateIndex] = None,
     ) -> None:
         self._kernel = kernel
         self._member = member
         self._packed_states = packed_states
         self._packed_grid = packed_grid
         self._signals = list(signals)
-        self._index = (
-            index
-            if index is not None
-            else PackedStateIndex(packed_states, sum(kernel.state_widths))
-        )
+        self._index = PackedStateIndex(packed_states, sum(kernel.state_widths))
         self.num_states = len(packed_states)
         self.num_inputs = len(packed_grid)
         self._next_index: Optional[np.ndarray] = None

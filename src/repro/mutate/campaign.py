@@ -1,11 +1,12 @@
 """The mutation campaign stage: score assertion quality by kill rate.
 
 A :class:`MutationCampaign` rides the same infrastructure as the evaluation
-campaigns: mutant batches fan out across the
-:class:`~repro.core.scheduler.VerificationService` (vectorized kernel first,
-compiled/scalar fallback, per-design worker dispatch), reachability is
-cached per *mutant* fingerprint exactly like any other design, and verdicts
-stream durably into the run store's ``mutations.jsonl`` as they land.
+campaigns: each design's mutant family goes through
+:meth:`~repro.core.scheduler.VerificationService.check_families` (vectorized
+family kernel first, per-mutant engine fallback, worker dispatch),
+reachability is cached per *mutant* fingerprint exactly like any other
+design, and verdicts stream durably into the run store's ``mutations.jsonl``
+as they land — the one durable record of a mutant verdict.
 
 Per (golden design, FPV-passing assertion, viable mutant) the campaign
 records one of four outcomes:
@@ -80,10 +81,6 @@ class MutationConfig:
     #: Drop mutants with no detectable semantic difference from the golden
     #: design (stillborn mutants are always dropped).
     semantic_filter: bool = True
-    #: Schedule whole families (golden + mutants) as one vectorized unit;
-    #: off = the reference per-mutant design batches.  Every verdict is
-    #: identical either way, so this is excluded from :meth:`identity`.
-    family_batching: bool = True
 
     def identity(self) -> Dict:
         """Normalised form stored in completion markers.
@@ -93,8 +90,6 @@ class MutationConfig:
         higher mutant cap must re-enumerate instead of silently returning
         the smaller earlier sweep.  Resolving through the operator library
         also validates the names (``KeyError`` on unknown operators).
-        The throughput-only knob (family batching) is left out: it never
-        changes a verdict, so a rerun may flip it and still resume.
         """
         return {
             "operators": sorted(op.name for op in resolve_operators(self.operators)),
@@ -447,25 +442,18 @@ class MutationCampaign:
         if not work:
             return cached, True
 
-        if self._config.family_batching:
-            # One family job: the golden design and every mutant still owing
-            # records sweep the union of their missing assertions together.
-            union = sorted({position for _, missing in work for position in missing})
-            union_texts = [texts[position] for position in union]
-            slot_of = {position: slot for slot, position in enumerate(union)}
-            family_verdicts = self._service.check_families(
-                [(design, [mutant for mutant, _ in work], union_texts)]
-            )[0]
-            verdict_lists = [
-                [verdicts[slot_of[position]] for position in missing]
-                for (_, missing), verdicts in zip(work, family_verdicts)
-            ]
-        else:
-            jobs = [
-                (mutant.design, [texts[position] for position in missing])
-                for mutant, missing in work
-            ]
-            verdict_lists = self._service.check_many(jobs)
+        # One family job: the golden design and every mutant still owing
+        # records sweep the union of their missing assertions together.
+        union = sorted({position for _, missing in work for position in missing})
+        union_texts = [texts[position] for position in union]
+        slot_of = {position: slot for slot, position in enumerate(union)}
+        family_verdicts = self._service.check_families(
+            [(design, [mutant for mutant, _ in work], union_texts)]
+        )[0]
+        verdict_lists = [
+            [verdicts[slot_of[position]] for position in missing]
+            for (_, missing), verdicts in zip(work, family_verdicts)
+        ]
 
         fresh: List[MutationRecord] = []
         durable: List[MutationRecord] = []

@@ -1,5 +1,11 @@
 """Unit tests for the formal property verification engine."""
 
+import importlib
+import json
+import os
+import subprocess
+import sys
+
 import pytest
 
 from repro.fpv import (
@@ -216,3 +222,61 @@ class TestStepErrorPosition:
         assert result.states == [(0,), self.FAILING_STATE]
         with pytest.raises(EvalError, match="injected failure"):
             enumerate_reachable(system, max_transitions=before + 1)
+
+
+class TestFailedReachabilityWalk:
+    """A reachability walk that raises runs once per batch, not per assertion."""
+
+    BATCH = [
+        "(req1 == 1 && req2 == 0) |-> (gnt1 == 1);",
+        "(req2 == 0 && gnt_ == 1) ##1 (req1 == 1) |=> (gnt1 == 1);",
+        "(gnt_ == 3) |-> (gnt1 == 1);",
+    ]
+
+    @pytest.mark.parametrize("backend", ["compiled", "vectorized"])
+    def test_walk_runs_once_and_fails_every_assertion(
+        self, arb2_design, backend, monkeypatch
+    ):
+        engine_module = importlib.import_module("repro.fpv.engine")
+        calls = []
+
+        def failing_walk(system, **caps):
+            calls.append(system)
+            raise EvalError("injected walk failure")
+
+        monkeypatch.setattr(engine_module, "enumerate_reachable", failing_walk)
+        results = FormalEngine(arb2_design, EngineConfig(backend=backend)).check_batch(
+            self.BATCH
+        )
+        assert len(calls) == 1
+        for result in results:
+            assert result.status is ProofStatus.ERROR
+            assert result.reason == "evaluation error: injected walk failure"
+
+
+_CEX_KEYS_SCRIPT = """
+import json, sys
+from repro.bench.corpus import get_corpus
+from repro.fpv import EngineConfig, FormalEngine
+design = get_corpus("assertionbench-mutation").design("d_flip_flop")
+engine = FormalEngine(design, EngineConfig(backend=sys.argv[1]))
+result = engine.check("(d == 1) |=> (q == 0);")
+print(json.dumps([list(cycle) for cycle in result.counterexample.cycles]))
+"""
+
+
+@pytest.mark.parametrize("backend", ["compiled", "vectorized"])
+def test_counterexample_key_order_ignores_the_string_hash_seed(backend):
+    """CEX cycles list their signals in model order under any hash seed."""
+    orders = []
+    for seed in ("1", "2"):
+        completed = subprocess.run(
+            [sys.executable, "-c", _CEX_KEYS_SCRIPT, backend],
+            env=dict(os.environ, PYTHONHASHSEED=seed),
+            capture_output=True,
+            text=True,
+            check=True,
+        )
+        orders.append(json.loads(completed.stdout))
+    assert orders[0] == orders[1]
+    assert orders[0][0] == ["rst", "en", "d", "q"]
