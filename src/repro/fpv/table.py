@@ -24,12 +24,9 @@ from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 import numpy as np
 
 from ..hdl import ast
-from ..sim.vector import UnsupportedForVectorization, VectorKernel
+from ..sim.vector import UnsupportedForVectorization, VectorKernel, rows_per_call
 from ..sim.eval import EvalError
 from .transition import ReachabilityResult, TransitionSystem
-
-#: Upper bound on (state chunk × input grid) lanes per kernel call.
-CHUNK_LANES = 1 << 18
 
 
 class PackedStateIndex:
@@ -88,15 +85,16 @@ def step_rows(
     ``packed_grid``, as family member ``members[k]`` when a member column is
     given (so one call can serve several members of a family kernel).
     Returns the (states × inputs) packed next-state rows and one boolean
-    (states × inputs) matrix per expression.  Kernel calls are split only
-    past the lane cap; environments are discarded chunk by chunk.
+    (states × inputs) matrix per expression.  Kernel calls hold at most
+    :data:`~repro.sim.vector.LANE_BUDGET` lanes (whole rows); environments
+    are discarded chunk by chunk.
     """
     count = len(packed_states)
     num_inputs = len(packed_grid)
     kernels = [(expr, kernel.exprs.compile(expr)) for expr in exprs]
     next_rows = np.empty((count, num_inputs), dtype=np.int64)
     truths = {expr: np.empty((count, num_inputs), dtype=bool) for expr in exprs}
-    chunk_states = max(1, CHUNK_LANES // max(num_inputs, 1))
+    chunk_states = rows_per_call(num_inputs)
     for start in range(0, count, chunk_states):
         stop = min(start + chunk_states, count)
         lanes = (stop - start) * num_inputs

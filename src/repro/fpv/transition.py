@@ -446,9 +446,6 @@ def enumerate_reachable(
     return ReachabilityResult(order, complete, True, transitions)
 
 
-#: Upper bound on (frontier chunk × input grid) lanes per kernel call, so the
-#: transient columnar environments stay within a few tens of megabytes.
-_BFS_CHUNK_LANES = 1 << 18
 #: Below this many lanes a kernel call's per-op dispatch overhead exceeds the
 #: scalar step cost; chain-like state spaces (LFSRs, counters) whose frontier
 #: is one or two states run those slices through the memoised scalar rows.
@@ -473,12 +470,15 @@ def walk_rounds(
     packed next states per chunk state, in chunk order.  Its return value
     (``StopIteration.value``) is the scalar walk's ``(order, complete,
     transitions explored)``.  The generator owns the visited set (a dense
-    array at ≤ 24 state bits), the discovery order, the chunking, and both
-    truncation points, so every packed BFS — one design's through
-    :func:`walk`, and the family members' delta walks, advanced in
-    lockstep one chunk per round — explores identically.
+    array at ≤ 24 state bits), the discovery order, the chunking (whole
+    states, at most :data:`~repro.sim.vector.LANE_BUDGET` lanes per chunk
+    where a state's row fits), and both truncation points, so every packed
+    BFS — one design's through :func:`walk`, and the family members' delta
+    walks, advanced in lockstep one chunk per round — explores identically.
     """
     import numpy as np
+
+    from ..sim.vector import rows_per_call
 
     if state_bits <= _DENSE_VISITED_BITS:
         visited = np.zeros(1 << state_bits, dtype=bool)
@@ -503,7 +503,7 @@ def walk_rounds(
     order: List[int] = [initial]
     frontier: List[int] = [initial]
     transitions = 0
-    chunk_states = max(1, _BFS_CHUNK_LANES // max(num_inputs, 1))
+    chunk_states = rows_per_call(num_inputs)
 
     while frontier:
         next_frontier: List[int] = []

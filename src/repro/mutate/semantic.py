@@ -155,22 +155,36 @@ class SemanticContext:
         the scalar comparison either way.
         """
         try:
-            from ..sim.vector import batch_simulation_pays, lower_family
+            from ..sim.vector import (
+                PLAN_SOA,
+                batch_simulation_pays,
+                comb_cycle_independent,
+                lower_family,
+            )
         except ImportError:  # pragma: no cover - numpy not installed
             return [self.difference(mutant) for mutant in mutants]
 
         lowering = None
+        model = self.golden.model
 
         def lower():
             nonlocal lowering
-            lowering = lower_family(self.golden.model, [mutant.model for mutant in mutants])
+            if (
+                not self._sweep_feasible
+                and not comb_cycle_independent(model)
+                and self._system.lowering_plan().plan != PLAN_SOA
+            ):
+                # Stepped batches pay only on SoA, and a family lowers to
+                # SoA only when its golden design does: refuse unlowered.
+                return None
+            lowering = lower_family(model, [mutant.model for mutant in mutants])
             accepted = lowering.accepted() if lowering is not None else []
             return (lowering.plan, len(accepted) * self._seeds) if accepted else None
 
         if self._sweep_feasible:  # the reachable-space sweep batches at any size
             pays = bool(mutants) and lower() is not None
         else:
-            pays = batch_simulation_pays(self.golden.model, len(mutants) * self._seeds, lower)
+            pays = batch_simulation_pays(model, len(mutants) * self._seeds, lower)
         found: Dict[int, Optional[DifferenceWitness]] = {}
         if pays:
             accepted = lowering.accepted()
@@ -186,10 +200,18 @@ class SemanticContext:
         ]
 
     def _sweep_differences_batched(self, lowering, accepted) -> Dict[int, DifferenceWitness]:
-        """Complete reachable-space comparison of many mutants in one pass."""
+        """Complete reachable-space comparison of many mutants in one pass.
+
+        States are split into chunks of whole input rows and each chunk's
+        members into groups, so no kernel call holds more than
+        :data:`~repro.sim.vector.LANE_BUDGET` lanes: the golden design is
+        stepped once per state chunk, then every member group on the same
+        lanes.  A member's witness is its first differing lane in (state,
+        input) order, however the lanes are split.
+        """
         import numpy as np
 
-        from ..fpv.table import CHUNK_LANES
+        from ..sim.vector import GOLDEN_MEMBER, rows_per_call
 
         kernel = lowering.kernel
         system = self._system
@@ -203,69 +225,59 @@ class SemanticContext:
 
         found: Dict[int, DifferenceWitness] = {}
         active = [(position, lowering.member_ids[position]) for position in accepted]
-        per_state = max(num_inputs * (len(active) + 1), 1)
-        chunk_states = max(1, CHUNK_LANES // per_state)
+        chunk_states = rows_per_call(num_inputs)
         for start in range(0, len(states), chunk_states):
             if not active:
                 break
             stop = min(start + chunk_states, len(states))
-            count = stop - start
-            lanes_per = count * num_inputs
-            members = [0] + [member for _, member in active]
-            member_col = np.repeat(np.asarray(members, dtype=np.int64), lanes_per)
-            states_rep = np.tile(np.repeat(packed_states[start:stop], num_inputs), len(members))
-            inputs_tiled = np.tile(packed_grid, count * len(members))
-            env, nxt = kernel.step_packed(states_rep, inputs_tiled, member_col)
-            golden_next = nxt[:lanes_per]
+            lanes_per = (stop - start) * num_inputs
+            states_rep = np.repeat(packed_states[start:stop], num_inputs)
+            inputs_tiled = np.tile(packed_grid, stop - start)
+            golden_env, golden_next = kernel.step_packed(
+                states_rep, inputs_tiled, np.full(lanes_per, GOLDEN_MEMBER, dtype=np.int64)
+            )
+            group_size = rows_per_call(lanes_per)
             still_active = []
-            for row, (position, member) in enumerate(active):
-                lo = (row + 1) * lanes_per
-                diff_any = np.zeros(lanes_per, dtype=bool)
-                for signal in signals:
-                    # Lanes are the last axis; multi-limb columns add a limb axis.
-                    column = env[signal]
-                    differs = column[..., lo : lo + lanes_per] != column[..., :lanes_per]
-                    diff_any |= differs.reshape(-1, lanes_per).any(axis=0)
-                diff_any |= nxt[lo : lo + lanes_per] != golden_next
-                if not diff_any.any():
-                    still_active.append((position, member))
-                    continue
-                lane = int(np.argmax(diff_any))
-                state_values = system.state_dict(states[start + lane // num_inputs])
-                inputs = dict(input_dicts[lane % num_inputs])
-                golden_row = kernel.env_row(env, lane, signals)
-                mutant_row = kernel.env_row(env, lo + lane, signals)
-                witness = None
-                for signal in signals:
-                    golden_value = golden_row[signal]
-                    mutant_value = mutant_row[signal]
-                    if golden_value != mutant_value:
-                        witness = DifferenceWitness(
-                            signal=signal,
-                            golden_value=golden_value,
-                            mutant_value=mutant_value,
-                            method="state-sweep",
-                            state=dict(state_values),
-                            inputs=inputs,
-                        )
-                        break
-                if witness is None:
-                    golden_regs = kernel.unpack_state(int(golden_next[lane]))
-                    mutant_regs = kernel.unpack_state(int(nxt[lo + lane]))
-                    name, golden_value, mutant_value = next(
-                        (name, g, m)
-                        for name, g, m in zip(kernel.state_names, golden_regs, mutant_regs)
-                        if g != m
+            for group_start in range(0, len(active), group_size):
+                group = active[group_start : group_start + group_size]
+                members = np.asarray([member for _, member in group], dtype=np.int64)
+                env, nxt = kernel.step_packed(
+                    np.tile(states_rep, len(group)),
+                    np.tile(inputs_tiled, len(group)),
+                    np.repeat(members, lanes_per),
+                )
+                for row, (position, member) in enumerate(group):
+                    lo = row * lanes_per
+                    diff_any = nxt[lo : lo + lanes_per] != golden_next
+                    for signal in signals:
+                        # Lanes are the last axis; multi-limb columns add a limb axis.
+                        differs = env[signal][..., lo : lo + lanes_per] != golden_env[signal]
+                        diff_any |= differs.reshape(-1, lanes_per).any(axis=0)
+                    if not diff_any.any():
+                        still_active.append((position, member))
+                        continue
+                    lane = int(np.argmax(diff_any))
+                    golden_row = kernel.env_row(golden_env, lane, signals)
+                    mutant_row = kernel.env_row(env, lo + lane, signals)
+                    # The first differing signal, else the first differing
+                    # register of the next state.
+                    differences = [(name, golden_row[name], mutant_row[name]) for name in signals]
+                    differences += zip(
+                        kernel.state_names,
+                        kernel.unpack_state(int(golden_next[lane])),
+                        kernel.unpack_state(int(nxt[lo + lane])),
                     )
-                    witness = DifferenceWitness(
-                        signal=name,
+                    signal, golden_value, mutant_value = next(
+                        difference for difference in differences if difference[1] != difference[2]
+                    )
+                    found[position] = DifferenceWitness(
+                        signal=signal,
                         golden_value=golden_value,
                         mutant_value=mutant_value,
                         method="state-sweep",
-                        state=dict(state_values),
-                        inputs=inputs,
+                        state=system.state_dict(states[start + lane // num_inputs]),
+                        inputs=dict(input_dicts[lane % num_inputs]),
                     )
-                found[position] = witness
             active = still_active
         return found
 

@@ -50,6 +50,18 @@ VecKernel = Callable[[Cols], Union[np.ndarray, int]]
 #: so the practical per-signal width ceiling is 61 bits.
 _MAX_VALUE_BITS = 62
 
+#: Most lanes one batched kernel call holds, for every caller that splits a
+#: large batch (tables, BFS chunks, the semantic sweep, flat settles).  A
+#: call builds every signal column, member mask and per-site overlay at full
+#: width, so this bounds the transient working set: 2**13 lanes keep an
+#: int64 column at 64 KiB.  Lanes are independent, so no output depends on it.
+LANE_BUDGET = 1 << 13
+
+
+def rows_per_call(width: int) -> int:
+    """How many rows of ``width`` lanes one kernel call may hold (at least one)."""
+    return max(1, LANE_BUDGET // max(width, 1))
+
 
 class UnsupportedForVectorization(Exception):
     """The model (or one expression) cannot be lowered to int64 array ops."""
@@ -1481,10 +1493,6 @@ def comb_cycle_independent(model: RtlModel) -> bool:
     return all(acyclic(name) for name in supports)
 
 
-#: Most lanes one flat settle of a cycle-independent batch holds.  Chunks
-#: take whole members, so one member's stimuli × cycles are never split.
-_FLAT_LANE_CAP = 1 << 16
-
 #: Fewest lanes at which a cycle-stepped SoA batch beats running each lane
 #: on the compiled scalar simulator, for single designs and mutant families
 #: alike.
@@ -1547,7 +1555,8 @@ def simulate_batch(
     stimulus) cycle by cycle; cycle-independent ones (see
     :func:`comb_cycle_independent`) settle every (member, stimulus, cycle)
     lane as one flat batch, chunked by whole members to at most
-    :data:`_FLAT_LANE_CAP` lanes per settle.
+    :data:`LANE_BUDGET` lanes per settle (one member's stimuli × cycles are
+    never split).
     """
     from .stimulus import stack_stimuli
 
@@ -1582,7 +1591,7 @@ def simulate_batch(
             name: np.ascontiguousarray(stacked[name].ravel(order="F"))
             for name in model.non_clock_inputs
         }
-        step = max(1, _FLAT_LANE_CAP // max(per_member, 1))
+        step = rows_per_call(per_member)
         for start in range(0, len(runs), step):
             chunk = runs[start : start + step]
             lanes = len(chunk) * per_member

@@ -172,3 +172,22 @@ class TestSemanticRouting:
         else:
             # Both outcomes occur: witnesses and equivalent candidates.
             assert None in batch
+
+    @pytest.mark.parametrize("name, lowered", [("wide_accum96", 0), ("wide_cmp80", 1)])
+    def test_stepped_wave_lowers_no_family_off_soa(self, monkeypatch, name, lowered):
+        """Stepped batches pay only on SoA, and a family is SoA only when its
+        golden design is: a sequential multi-limb wave is refused from the
+        golden plan without lowering a family kernel.  A cycle-independent
+        design batches on any plan, so its wave still lowers one."""
+        design = get_corpus("assertionbench-wide").design(name)
+        candidates, _ = enumerate_mutants(design, semantic_filter=False, limit=10)
+        calls = []
+        lower_family = vector.lower_family
+
+        def counting(golden, mutants):
+            calls.append(len(mutants))
+            return lower_family(golden, mutants)
+
+        monkeypatch.setattr(vector, "lower_family", counting)
+        SemanticContext(design).differences([candidate.design for candidate in candidates])
+        assert len(calls) == lowered

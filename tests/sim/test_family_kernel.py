@@ -190,7 +190,7 @@ def test_flat_lane_cap_chunks_by_whole_members(monkeypatch, cap_members, per_chu
     cycles = 24
     per_member = len(_STIMULI) * cycles
     # A cap below one member's lanes still settles that member whole.
-    monkeypatch.setattr(vector_module, "_FLAT_LANE_CAP", int(cap_members * per_member))
+    monkeypatch.setattr(vector_module, "LANE_BUDGET", int(cap_members * per_member))
     calls = _count_settles(monkeypatch, lowering.kernel)
     traces = lowering.kernel.family_simulate(members, _STIMULI, cycles)
     chunks = [members[i : i + per_chunk] for i in range(0, len(members), per_chunk)]
