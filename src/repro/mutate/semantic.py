@@ -155,36 +155,22 @@ class SemanticContext:
         the scalar comparison either way.
         """
         try:
-            from ..sim.vector import (
-                PLAN_SOA,
-                batch_simulation_pays,
-                comb_cycle_independent,
-                lower_family,
-            )
+            from ..sim.vector import batch_simulation_pays, lower_family
         except ImportError:  # pragma: no cover - numpy not installed
             return [self.difference(mutant) for mutant in mutants]
 
         lowering = None
-        model = self.golden.model
 
         def lower():
             nonlocal lowering
-            if (
-                not self._sweep_feasible
-                and not comb_cycle_independent(model)
-                and self._system.lowering_plan().plan != PLAN_SOA
-            ):
-                # Stepped batches pay only on SoA, and a family lowers to
-                # SoA only when its golden design does: refuse unlowered.
-                return None
-            lowering = lower_family(model, [mutant.model for mutant in mutants])
+            lowering = lower_family(self.golden.model, [mutant.model for mutant in mutants])
             accepted = lowering.accepted() if lowering is not None else []
             return (lowering.plan, len(accepted) * self._seeds) if accepted else None
 
         if self._sweep_feasible:  # the reachable-space sweep batches at any size
             pays = bool(mutants) and lower() is not None
         else:
-            pays = batch_simulation_pays(model, len(mutants) * self._seeds, lower)
+            pays = batch_simulation_pays(self.golden.model, len(mutants) * self._seeds, lower)
         found: Dict[int, Optional[DifferenceWitness]] = {}
         if pays:
             accepted = lowering.accepted()

@@ -823,11 +823,11 @@ class VectorKernel:
 
     def _check_widths(self, model: RtlModel) -> None:
         """Reject signals the representation cannot hold (SoA: > int64)."""
-        for name, signal in model.signals.items():
-            if signal.width > _MAX_VALUE_BITS:
-                raise UnsupportedForVectorization(
-                    f"signal {name!r} ({signal.width} bits) exceeds int64 lanes"
-                )
+        name = _wide_signal(model)
+        if name is not None:
+            raise UnsupportedForVectorization(
+                f"signal {name!r} ({model.signals[name].width} bits) exceeds int64 lanes"
+            )
 
     @property
     def model(self) -> RtlModel:
@@ -1460,6 +1460,15 @@ def lower_family(
 # ---------------------------------------------------------------------------
 
 
+def _wide_signal(model: RtlModel) -> Optional[str]:
+    """The first signal too wide for an int64 lane, or ``None``: a design
+    with one never lowers to SoA, so neither does its mutant family."""
+    return next(
+        (name for name, signal in model.signals.items() if signal.width > _MAX_VALUE_BITS),
+        None,
+    )
+
+
 def comb_cycle_independent(model: RtlModel) -> bool:
     """True when every simulated cycle's settled values depend only on that
     cycle's inputs.
@@ -1514,11 +1523,12 @@ def batch_simulation_pays(
     the design (or family) and returns its plan name and the lanes the batch
     would really hold, or ``None`` when nothing can batch.  SoA is the plan
     batching pays on soonest, so ``lower`` runs only when ``lanes`` on the
-    SoA plan would pay: a design the rule refuses is decided from the model
-    alone and lowers no kernel.
+    SoA plan would pay and the model has no signal too wide for SoA: a
+    design the rule refuses is decided from the model alone and lowers no
+    kernel.
     """
     independent = comb_cycle_independent(model)
-    if not independent and lanes < _BATCH_MIN_LANES:
+    if not independent and (lanes < _BATCH_MIN_LANES or _wide_signal(model) is not None):
         return False
     lowered = lower()
     if lowered is None:

@@ -175,9 +175,9 @@ class TestSemanticRouting:
 
     @pytest.mark.parametrize("name, lowered", [("wide_accum96", 0), ("wide_cmp80", 1)])
     def test_stepped_wave_lowers_no_family_off_soa(self, monkeypatch, name, lowered):
-        """Stepped batches pay only on SoA, and a family is SoA only when its
-        golden design is: a sequential multi-limb wave is refused from the
-        golden plan without lowering a family kernel.  A cycle-independent
+        """Stepped batches pay only on SoA, and no design with a signal too
+        wide for int64 lowers to SoA: a sequential wide wave is refused from
+        the model without lowering a family kernel.  A cycle-independent
         design batches on any plan, so its wave still lowers one."""
         design = get_corpus("assertionbench-wide").design(name)
         candidates, _ = enumerate_mutants(design, semantic_filter=False, limit=10)

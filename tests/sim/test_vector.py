@@ -309,8 +309,10 @@ class TestBatchedSimulation:
             return plan, lanes
 
         assert batch_simulation_pays(model, lanes, lower) is pays
-        # Only a bound that would pay on the SoA plan lowers the design.
-        assert bool(lowered) is (comb_cycle_independent(model) or lanes >= 16)
+        # Only a bound that would pay on the SoA plan lowers the design, and
+        # a sequential design with a signal too wide for SoA never lowers.
+        soa_stepped = lanes >= 16 and not corpus_name.endswith("wide")
+        assert bool(lowered) is (comb_cycle_independent(model) or soa_stepped)
         if lowered:
             assert lowered == [PLAN_MULTILIMB if corpus_name.endswith("wide") else PLAN_SOA]
 
