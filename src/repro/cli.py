@@ -270,7 +270,7 @@ def _campaign(
             campaign = MutationCampaign(runtime.service, store, mutation)
             summary = campaign.run(
                 designs,
-                campaign.passed_assertions(store),
+                campaign.passed_assertions(store.load_matrix(matrix)),
                 progress=lambda message: print(message),
             )
         run_stats = runtime.service.run_stats()

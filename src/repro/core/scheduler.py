@@ -35,10 +35,8 @@ from __future__ import annotations
 import dataclasses
 import os
 import threading
-from concurrent.futures import ProcessPoolExecutor
-from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
+from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 from ..fpv.engine import (
     EngineConfig,
@@ -50,6 +48,11 @@ from ..fpv.transition import ReachabilityResult
 from ..hdl.design import Design
 from ..fpv.result import ProofResult, ProofStatus
 from ..sva.model import Assertion
+
+if TYPE_CHECKING:
+    # Imported where the pool is made: it loads ``multiprocessing``, which a
+    # one-worker verb never needs.
+    from concurrent.futures import ProcessPoolExecutor
 
 AssertionLike = Union[str, Assertion]
 #: One unit of schedulable work: a design plus the assertions queued for it.
@@ -100,12 +103,16 @@ class VerdictCache:
 
     def get(self, design_name: str, text: str) -> Optional[ProofResult]:
         with self._lock:
-            result = self._verdicts.get(self._key(design_name, text))
+            result = self._lookup(self._key(design_name, text))
             if result is not None:
                 self.hits += 1
             else:
                 self.misses += 1
         return result
+
+    def _lookup(self, key: tuple) -> Optional[ProofResult]:
+        """The verdict stored under ``key``; the caller holds the lock."""
+        return self._verdicts.get(key)
 
     def put(self, design_name: str, text: str, result: ProofResult) -> None:
         with self._lock:
@@ -305,6 +312,8 @@ class VerificationService:
         self.close()
 
     def _get_pool(self) -> ProcessPoolExecutor:
+        from concurrent.futures import ProcessPoolExecutor
+
         with self._pool_lock:
             if self._pool is None:
                 self._pool = ProcessPoolExecutor(max_workers=self.effective_workers())
@@ -327,6 +336,8 @@ class VerificationService:
         """
         if self.effective_workers() <= 1:
             return [fn(*args) for args in calls]
+        from concurrent.futures.process import BrokenProcessPool
+
         pool = self._get_pool()
         try:
             futures: List = [pool.submit(fn, *args) for args in calls]

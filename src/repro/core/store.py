@@ -10,9 +10,9 @@ prefix of a run is a valid, resumable state:
 
 ``verdicts.jsonl``
     The :class:`PersistentVerdictCache`: one appended JSON line per proved
-    (design fingerprint, normalised assertion text) pair.  Loaded into the
-    in-memory :class:`~repro.core.scheduler.VerdictCache` on open, so FPV
-    verdicts survive across processes and runs.
+    (design fingerprint, normalised assertion text) pair.  Indexed by the
+    :class:`~repro.core.scheduler.VerdictCache` on open and parsed on first
+    lookup, so FPV verdicts survive across processes and runs.
 
 ``outcomes/<model>-k<k>.jsonl``
     Per-assertion :class:`~repro.core.metrics.AssertionOutcome` records, one
@@ -48,7 +48,7 @@ import os
 import threading
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from ..fpv.engine import ReachabilityCache, ReachabilityKey
 from ..fpv.result import Counterexample, ProofResult, ProofStatus
@@ -219,8 +219,11 @@ class PersistentVerdictCache(VerdictCache):
     a renamed run directory, a new process, or a later campaign all hit as
     long as the design source and assertion text are unchanged.  ``put``
     appends one line and flushes before publishing the entry in memory;
-    loading replays the file (last write wins) and counts neither hits nor
-    misses.
+    loading indexes the file (last write wins) and counts neither hits nor
+    misses.  A stored verdict is parsed on its first hit: parsing re-parses
+    its assertion text, and a verb looks up few of the stored verdicts, if
+    any.  A line that is not a verdict record is skipped, so its verdict is
+    recomputed.
     """
 
     def __init__(self, path: Path):
@@ -237,16 +240,30 @@ class PersistentVerdictCache(VerdictCache):
 
     @property
     def loaded_entries(self) -> int:
-        """How many distinct verdicts were replayed from disk on open."""
+        """How many distinct verdicts were indexed from disk on open."""
         return self._loaded_entries
 
     def _load(self) -> None:
-        if not self._path.exists():
-            return
-        for record in _read_jsonl(self._path):
-            key = (record["design"], record["text"])
-            self._verdicts[key] = proof_from_json(record["proof"])
+        # An entry holds its stored line until its first hit parses it.
+        for line in _read_lines(self._path):
+            try:
+                record = json.loads(line)
+                ProofStatus(record["proof"]["status"])
+                self._verdicts[(record["design"], record["text"])] = line
+            except (KeyError, TypeError, ValueError):
+                continue  # torn or malformed record; recomputing is always safe
         self._loaded_entries = len(self._verdicts)
+
+    def _lookup(self, key: tuple) -> Optional[ProofResult]:
+        result = self._verdicts.get(key)
+        if isinstance(result, str):
+            try:
+                result = proof_from_json(json.loads(result)["proof"])
+            except (AttributeError, KeyError, TypeError, ValueError):
+                del self._verdicts[key]
+                return None  # a malformed verdict is recomputed
+            self._verdicts[key] = result
+        return result
 
     def put(self, design_name: str, text: str, result: ProofResult) -> None:
         self._write([(design_name, text, result)])
@@ -394,19 +411,20 @@ class CellMarker:
 
 
 class _JsonlTail:
-    """Incremental JSONL reader: parses only bytes appended since last read.
+    """Incremental JSONL reader: reads only bytes appended since last read.
 
-    Only complete (newline-terminated) lines are consumed; a torn tail from
-    a crash is left un-consumed and retried once more bytes arrive.  If the
-    file shrinks (deleted/recreated), ``read_new`` returns ``None`` so the
-    caller can rebuild its derived state from scratch.
+    ``read_new`` returns the new non-blank lines, unparsed.  Only complete
+    (newline-terminated) lines are consumed; a torn tail from a crash is
+    left un-consumed and retried once more bytes arrive.  If the file
+    shrinks (deleted/recreated), ``read_new`` returns ``None`` so the caller
+    can rebuild its derived state from scratch.
     """
 
     def __init__(self, path: Path):
         self.path = Path(path)
         self._offset = 0
 
-    def read_new(self) -> Optional[List[Dict]]:
+    def read_new(self) -> Optional[List[bytes]]:
         try:
             size = self.path.stat().st_size
         except FileNotFoundError:
@@ -426,18 +444,18 @@ class _JsonlTail:
         if end < 0:
             return []
         self._offset += end + 1
-        records: List[Dict] = []
-        for raw in data[:end].splitlines():
-            raw = raw.strip()
-            if not raw:
-                continue
-            try:
-                records.append(json.loads(raw.decode("utf-8")))
-            except (json.JSONDecodeError, UnicodeDecodeError):
-                # A line torn by a crash that later appends restored; the
-                # record it belonged to was never committed.
-                continue
-        return records
+        return [line for line in map(bytes.strip, data[:end].splitlines()) if line]
+
+
+def _parsed(lines: Iterable[bytes]) -> Iterator[Tuple[Dict, bytes]]:
+    """Yield each line that parses, as (record, line)."""
+    for line in lines:
+        try:
+            yield json.loads(line.decode("utf-8")), line
+        except (json.JSONDecodeError, UnicodeDecodeError):
+            # A line torn by a crash that later appends restored; the
+            # record it belonged to was never committed.
+            continue
 
 
 class RunStore:
@@ -455,8 +473,9 @@ class RunStore:
         self._handles: Dict[Path, object] = {}
         #: Incremental readers + derived state, so resume/report replay is
         #: linear in file size instead of rescanning whole shards per cell.
+        #: Shard lines are kept unparsed, as (idx, line), until a cell loads.
         self._shard_tails: Dict[Path, _JsonlTail] = {}
-        self._shard_groups: Dict[Path, Dict[Tuple[str, str], List[Dict]]] = {}
+        self._shard_groups: Dict[Path, Dict[Tuple[str, str], List[Tuple[int, bytes]]]] = {}
         self._completed_tail: Optional[_JsonlTail] = None
         self._completed_markers: Dict[CellKey, CellMarker] = {}
         #: Monotonic per-process attempt salt; combined with the PID it makes
@@ -636,7 +655,7 @@ class RunStore:
         if new is None:  # the log shrank — rebuild from scratch
             self._completed_markers = {}
             new = self._completed_tail.read_new() or []
-        for record in new:
+        for record, _ in _parsed(new):
             cell: CellKey = (record["model"], record["k"], record["design"])
             self._completed_markers[cell] = CellMarker(
                 cell, record["attempt"], record["count"]
@@ -652,8 +671,10 @@ class RunStore:
             return None
         return self.load_marked(marker)
 
-    def _shard_records(self, model_name: str, k: int) -> Dict[Tuple[str, str], List[Dict]]:
-        """Shard records grouped by (design, attempt), parsed incrementally."""
+    def _shard_records(
+        self, model_name: str, k: int
+    ) -> Dict[Tuple[str, str], List[Tuple[int, bytes]]]:
+        """Shard lines as (idx, line) grouped by (design, attempt), read incrementally."""
         path = self.shard_path(model_name, k)
         tail = self._shard_tails.get(path)
         if tail is None:
@@ -665,30 +686,46 @@ class RunStore:
             self._shard_groups[path] = {}
             new = tail.read_new() or []
         groups = self._shard_groups[path]
-        for record in new:
-            groups.setdefault((record["design"], record["attempt"]), []).append(record)
+        for record, line in _parsed(new):
+            groups.setdefault((record["design"], record["attempt"]), []).append(
+                (record["idx"], line)
+            )
         return groups
 
     def load_marked(self, marker: CellMarker) -> List[AssertionOutcome]:
-        """Load the outcome records committed by ``marker``, in record order."""
+        """Load the outcome records committed by ``marker``, in record order.
+
+        The records are parsed here, on every call: the store keeps only
+        their lines.
+        """
         model_name, k, design_name = marker.cell
-        records = list(
-            self._shard_records(model_name, k).get((design_name, marker.attempt), [])
+        records = sorted(
+            self._shard_records(model_name, k).get((design_name, marker.attempt), []),
+            key=lambda record: record[0],
         )
-        records.sort(key=lambda record: record["idx"])
         if len(records) != marker.count:
             raise RuntimeError(
                 f"cell {marker.cell} committed {marker.count} records but "
                 f"{len(records)} are present in {self.shard_path(model_name, k)}"
             )
-        return [outcome_from_json(record["outcome"]) for record in records]
+        return [outcome_from_json(json.loads(line)["outcome"]) for _, line in records]
 
-    def load_matrix(self) -> EvaluationMatrix:
+    def load_matrix(self, held: Optional[EvaluationMatrix] = None) -> EvaluationMatrix:
         """Reassemble the :class:`EvaluationMatrix` of every committed cell.
 
         Designs appear in commit order within each (model, k) result, which
         matches campaign order because cells are committed as they stream.
+        A committed cell that ``held`` (say, the matrix
+        :meth:`~repro.core.runtime.CampaignRuntime.run_campaign` returned)
+        already holds takes its outcomes from there, so its records are not
+        read again.
         """
+        loaded = {
+            (sweep.model_name, sweep.k, evaluation.design_name): evaluation.outcomes
+            for per_model in (held.results.values() if held is not None else ())
+            for sweep in per_model.values()
+            for evaluation in sweep.designs
+        }
         matrix = EvaluationMatrix()
         by_sweep: Dict[Tuple[str, int], ModelKshotResult] = {}
         for cell, marker in self.completed_cells().items():
@@ -699,7 +736,10 @@ class RunStore:
                 by_sweep[(model_name, k)] = sweep
                 matrix.add(sweep)
             evaluation = DesignEvaluation(design_name=design_name)
-            evaluation.outcomes.extend(self.load_marked(marker))
+            outcomes = loaded.get(cell)
+            evaluation.outcomes.extend(
+                outcomes if outcomes is not None else self.load_marked(marker)
+            )
             sweep.designs.append(evaluation)
         return matrix
 
@@ -807,18 +847,23 @@ def _missing_trailing_newline(path: Path) -> bool:
         return handle.read(1) != b"\n"
 
 
-def _read_jsonl(path: Path) -> Iterable[Dict]:
-    """Yield parsed records, tolerating a torn final line from a crash."""
+def _read_lines(path: Path) -> Iterable[str]:
+    """Yield the file's non-blank lines, stripped; nothing if it is absent."""
     if not path.exists():
         return
     with path.open("r", encoding="utf-8") as handle:
         for line in handle:
             line = line.strip()
-            if not line:
-                continue
-            try:
-                yield json.loads(line)
-            except json.JSONDecodeError:
-                # A partially-flushed trailing line; everything before the
-                # commit marker is still consistent, so skip it.
-                continue
+            if line:
+                yield line
+
+
+def _read_jsonl(path: Path) -> Iterable[Dict]:
+    """Yield parsed records, tolerating a torn final line from a crash."""
+    for line in _read_lines(path):
+        try:
+            yield json.loads(line)
+        except json.JSONDecodeError:
+            # A partially-flushed trailing line; everything before the
+            # commit marker is still consistent, so skip it.
+            continue

@@ -301,11 +301,15 @@ class MutationCampaign:
     # -- assertion selection -----------------------------------------------------
 
     @staticmethod
-    def passed_assertions(store) -> Dict[str, List[str]]:
-        """Unique FPV-passing assertion texts per design, from committed cells."""
+    def passed_assertions(matrix) -> Dict[str, List[str]]:
+        """Unique FPV-passing assertion texts per design of ``matrix``.
+
+        Pass :meth:`~repro.core.store.RunStore.load_matrix` so that only
+        committed cells count, in commit order.
+        """
         texts: Dict[str, List[str]] = {}
         seen: Dict[str, set] = {}
-        for sweep_by_k in store.load_matrix().results.values():
+        for sweep_by_k in matrix.results.values():
             for sweep in sweep_by_k.values():
                 for evaluation in sweep.designs:
                     for outcome in evaluation.outcomes:

@@ -3,13 +3,24 @@
 from __future__ import annotations
 
 import json
+import sys
+import threading
 
 import pytest
 
+import repro.core.store as store_module
 from repro.core import PersistentVerdictCache, ResumeMismatchError, RunStore, config_hash
-from repro.core.metrics import CEX, PASS, AssertionOutcome
+from repro.core.metrics import (
+    CEX,
+    PASS,
+    AssertionOutcome,
+    DesignEvaluation,
+    EvaluationMatrix,
+    ModelKshotResult,
+)
 from repro.core.store import outcome_from_json, outcome_to_json, proof_from_json, proof_to_json
 from repro.fpv.result import Counterexample, ProofResult, ProofStatus, error_result
+from repro.mutate.campaign import MutationCampaign
 from repro.sva import AssertionSignature, parse_assertion
 
 
@@ -167,6 +178,117 @@ class TestPersistentVerdictCache:
         assert reopened.loaded_entries == 1
         assert reopened.get("d", "x") is not None
 
+    @pytest.mark.parametrize(
+        "record",
+        [
+            {"design": "d", "text": "y"},
+            {"design": "d", "text": "y", "proof": {**proof_to_json(_proven()), "status": "bogus"}},
+        ],
+        ids=["missing-proof", "bogus-status"],
+    )
+    def test_skips_malformed_records(self, tmp_path, record):
+        path = tmp_path / "v.jsonl"
+        PersistentVerdictCache(path).put("d", "x", _proven())
+        with path.open("a") as handle:
+            handle.write(json.dumps(record) + "\n")
+        reopened = PersistentVerdictCache(path)
+        assert reopened.loaded_entries == len(reopened) == reopened.stats()["entries"] == 1
+        assert reopened.get("d", "y") is None  # recomputed, not served
+        assert reopened.get("d", "x") == _replayed(_proven())
+        reopened.put("d", "y", _cex())
+        assert PersistentVerdictCache(path).get("d", "y") == _replayed(_cex())
+
+    def test_a_verdict_that_fails_to_parse_on_its_hit_is_recomputed(self, tmp_path):
+        path = tmp_path / "v.jsonl"
+        proof = {**proof_to_json(_cex()), "counterexample": {"cycles": [[1]]}}
+        path.write_text(json.dumps({"design": "d", "text": "y", "proof": proof}) + "\n")
+        cache = PersistentVerdictCache(path)
+        assert len(cache) == 1  # indexed: only its status is checked on open
+        assert cache.get("d", "y") is None
+        assert cache.stats() == {"entries": 0, "hits": 0, "misses": 1}
+
+
+def _replayed(proof: ProofResult) -> ProofResult:
+    """``proof`` as the store gives it back (its assertion re-parsed)."""
+    return proof_from_json(proof_to_json(proof))
+
+
+def _counting_proof_parse(monkeypatch):
+    parsed = []
+
+    def counting(data):
+        parsed.append(data)
+        return proof_from_json(data)
+
+    monkeypatch.setattr(store_module, "proof_from_json", counting)
+    return parsed
+
+
+class TestVerdictsParsedOnDemand:
+    @pytest.fixture()
+    def stored(self, tmp_path):
+        path = tmp_path / "v.jsonl"
+        cache = PersistentVerdictCache(path)
+        cache.put_many([("d", "x", _proven()), ("d", "y", _cex()), ("e", "x", _proven())])
+        cache.close()
+        return path
+
+    def test_unparsed_entries_are_counted(self, stored, monkeypatch):
+        parsed = _counting_proof_parse(monkeypatch)
+        cache = PersistentVerdictCache(stored)
+        assert cache.loaded_entries == len(cache) == cache.stats()["entries"] == 3
+        assert parsed == []
+        cache.get("d", "y")
+        assert len(parsed) == 1
+        assert cache.loaded_entries == len(cache) == cache.stats()["entries"] == 3
+
+    def test_hit_on_an_unparsed_entry_counts_as_a_hit(self, stored, monkeypatch):
+        parsed = _counting_proof_parse(monkeypatch)
+        cache = PersistentVerdictCache(stored)
+        assert cache.get("d", "y") == _replayed(_cex())
+        assert cache.get("d", "y") == _replayed(_cex())
+        assert cache.get("d", "z") is None
+        assert cache.stats() == {"entries": 3, "hits": 2, "misses": 1}
+        assert len(parsed) == 1  # parsed on the first hit only
+
+    def test_put_replaces_an_unparsed_line(self, stored, monkeypatch):
+        parsed = _counting_proof_parse(monkeypatch)
+        cache = PersistentVerdictCache(stored)
+        cache.put("d", "x", _cex())
+        cache.put_many([("e", "x", _cex())])
+        assert len(cache) == 3
+        assert cache.get("d", "x") == cache.get("e", "x") == _cex()
+        assert parsed == []
+        cache.close()
+        reopened = PersistentVerdictCache(stored)
+        assert reopened.loaded_entries == len(reopened) == 3
+        assert reopened.get("d", "x") == reopened.get("e", "x") == _replayed(_cex())
+
+    def test_threads_hitting_one_unparsed_key_agree(self, stored, monkeypatch):
+        parsed = _counting_proof_parse(monkeypatch)
+        cache = PersistentVerdictCache(stored)
+        barrier = threading.Barrier(8)
+        results = []
+
+        def hit():
+            barrier.wait(timeout=10)
+            results.append(cache.get("d", "y"))
+
+        threads = [threading.Thread(target=hit) for _ in range(8)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=10)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert results == [_replayed(_cex())] * 8
+        assert len(parsed) == 1  # one thread parsed it; the rest hit the parse
+        assert cache.stats() == {"entries": 3, "hits": 8, "misses": 0}
+
 
 def _outcomes(design, count, model="M", k=1):
     return [
@@ -234,6 +356,18 @@ class TestRunStore:
         assert len(reader.completed_cells()) == 2
         assert len(reader.load_cell("M", 1, "arb2")) == 1
 
+    def test_loading_a_marker_twice_gives_equal_outcomes(self, tmp_path):
+        store = RunStore(tmp_path)
+        store.record_cell("M", 1, "counter", _outcomes("counter", 3))
+        marker = store.completed_cells()[("M", 1, "counter")]
+        first = store.load_marked(marker)
+        assert store.load_marked(marker) == first
+        assert store.load_cell("M", 1, "counter") == first
+        assert store.load_cell("M", 1, "counter") == first
+        assert [outcome.proof for outcome in first] == [
+            _replayed(outcome.proof) for outcome in _outcomes("counter", 3)
+        ]
+
     def test_recommitted_cell_uses_latest_attempt(self, tmp_path):
         store = RunStore(tmp_path)
         store.record_cell("M", 1, "counter", _outcomes("counter", 2))
@@ -278,3 +412,67 @@ class TestRunStore:
         summary = store.describe()
         assert summary["status"] == "running"
         assert summary["completed_cells"] == 1
+
+
+def _cell(model, k, design, texts):
+    """A cell's outcomes: each text passes unless it starts with ``!``."""
+    return [
+        AssertionOutcome(
+            design_name=design,
+            model_name=model,
+            k=k,
+            raw_text=text,
+            corrected_text=text.lstrip("!"),
+            category=CEX if text.startswith("!") else PASS,
+            proof=_cex() if text.startswith("!") else _proven(),
+        )
+        for text in texts
+    ]
+
+
+class TestPassedAssertions:
+    #: Cells in commit order, which differs from campaign order (models
+    #: A then B, k 1 then 5, designs d1 then d2).  Equal texts up to
+    #: whitespace keep the first committed spelling.
+    COMMITS = [
+        ("B", 1, "d2", ["b  ==  1", "!c == 0"]),
+        ("A", 5, "d1", ["a ==  1", "z == 2"]),
+        ("A", 1, "d2", ["b == 1", "y == 3"]),
+        ("B", 1, "d1", ["a == 1"]),
+        ("A", 1, "d1", ["x == 0", "a  == 1"]),
+    ]
+
+    def test_matrix_lists_equal_the_stored_lists_in_order(self, tmp_path, monkeypatch):
+        store = RunStore(tmp_path)
+        for model, k, design, texts in self.COMMITS:
+            store.record_cell(model, k, design, _cell(model, k, design, texts))
+        cells = {(model, k, design): texts for model, k, design, texts in self.COMMITS}
+        # A cell whose batch failed is in the campaign matrix but uncommitted.
+        cells[("B", 5, "d1")] = ["w == 9"]
+        matrix = EvaluationMatrix()
+        for model in ("A", "B"):
+            for k in (1, 5):
+                sweep = ModelKshotResult(model_name=model, k=k)
+                for design in ("d1", "d2"):
+                    texts = cells.get((model, k, design))
+                    if texts is not None:
+                        evaluation = DesignEvaluation(design_name=design)
+                        evaluation.outcomes.extend(_cell(model, k, design, texts))
+                        sweep.designs.append(evaluation)
+                matrix.add(sweep)
+
+        stored = MutationCampaign.passed_assertions(store.load_matrix())
+        assert stored == {
+            "d2": ["b  ==  1", "y == 3"],
+            "d1": ["a == 1", "z == 2", "x == 0"],
+        }
+        assert list(stored) == ["d2", "d1"]
+        loaded = []
+        parse = store_module.outcome_from_json
+        monkeypatch.setattr(
+            store_module, "outcome_from_json", lambda data: loaded.append(data) or parse(data)
+        )
+        held = MutationCampaign.passed_assertions(store.load_matrix(matrix))
+        assert held == stored
+        assert list(held) == list(stored)
+        assert loaded == []  # every committed cell came from the matrix

@@ -161,6 +161,23 @@ class TestMutate:
         resumed_table = out[out.index("Mutation kill rate"):]
         assert first_table.splitlines()[:10] == resumed_table.splitlines()[:10]
 
+    def test_mutate_parses_each_committed_record_once(
+        self, mutate_run, capsys, monkeypatch
+    ):
+        run_dir, _ = mutate_run
+        from repro.core import store as store_module
+
+        parsed = []
+        parse = store_module.outcome_from_json
+        monkeypatch.setattr(
+            store_module, "outcome_from_json", lambda data: parsed.append(data) or parse(data)
+        )
+        assert main(["mutate", "--smoke", "--run-dir", str(run_dir),
+                     "--max-mutants", "6"]) == 0
+        capsys.readouterr()
+        committed = RunStore(run_dir).completed_cells().values()
+        assert len(parsed) == sum(marker.count for marker in committed) > 0
+
     @two_cores
     def test_failed_mutant_batches_leave_the_run_incomplete_until_rerun(
         self, tmp_path, capsys, monkeypatch

@@ -20,30 +20,43 @@ SRC = Path(repro.__file__).resolve().parents[1]
 #: vectorized backend.
 HEAVY = ("networkx", "numpy")
 
+#: Loaded only to start the FPV worker pool, which one worker never does.
+POOL = ("multiprocessing",)
+
 PROBE = """
 import json, sys
 import repro.cli
 code = repro.cli.main(sys.argv[1:]) if len(sys.argv) > 1 else None
 print(json.dumps({"exit": code, "loaded": [m for m in %r if m in sys.modules]}))
-""" % (HEAVY,)
+""" % (HEAVY + POOL,)
 
 
-def _fresh_interpreter(args, **kwargs) -> subprocess.CompletedProcess:
+def _fresh_interpreter(args, env=None, **kwargs) -> subprocess.CompletedProcess:
     """Run ``python ARGS`` in a new process that imports ``repro`` from this tree."""
     path = os.pathsep.join([str(SRC), os.environ.get("PYTHONPATH", "")])
     return subprocess.run(
         [sys.executable, *args],
         capture_output=True,
         text=True,
-        env={**os.environ, "PYTHONPATH": path},
+        env={**os.environ, **(env or {}), "PYTHONPATH": path},
         **kwargs,
     )
 
 
-def _probe(*cli_args: str) -> dict:
+def _probe(*cli_args: str, workers: str = "1") -> dict:
     """Run ``repro.cli`` in a fresh interpreter and report the heavy modules it loaded."""
-    done = _fresh_interpreter(["-c", PROBE, *cli_args], timeout=120, check=True)
+    done = _fresh_interpreter(
+        ["-c", PROBE, *cli_args],
+        env={"REPRO_FPV_WORKERS": workers},
+        timeout=120,
+        check=True,
+    )
     return json.loads(done.stdout.strip().splitlines()[-1])
+
+
+RUN_SHARD = (
+    "run", "--corpus", "assertionbench-control", "--k", "1,5", "--shard", "0/3",
+)
 
 
 class TestImportHygiene:
@@ -51,18 +64,13 @@ class TestImportHygiene:
         assert _probe()["loaded"] == []
 
     def test_a_run_shard_loads_no_heavy_library(self, tmp_path):
-        result = _probe(
-            "run",
-            "--run-dir",
-            str(tmp_path / "run"),
-            "--corpus",
-            "assertionbench-control",
-            "--k",
-            "1,5",
-            "--shard",
-            "0/3",
-        )
+        result = _probe(*RUN_SHARD, "--run-dir", str(tmp_path / "run"))
         assert result == {"exit": 0, "loaded": []}
+
+    @pytest.mark.skipif((os.cpu_count() or 1) < 2, reason="the worker pool needs two cores")
+    def test_a_two_worker_run_shard_loads_the_pool_only(self, tmp_path):
+        result = _probe(*RUN_SHARD, "--run-dir", str(tmp_path / "run"), workers="2")
+        assert result == {"exit": 0, "loaded": list(POOL)}
 
 
 @pytest.mark.filterwarnings("ignore:Support for .* is still .beta.")
