@@ -1,153 +1,84 @@
 """Lexer for the supported Verilog subset.
 
-The lexer strips comments (``//`` and ``/* */``), recognises identifiers,
-decimal and based numeric literals (``8'hFF``, ``1'b0``), keywords, and
-punctuation, and records line/column positions for error reporting.
+The lexer strips comments (``//`` and ``/* */``) and compiler directives,
+recognises identifiers, decimal and based numeric literals (``8'hFF``,
+``1'b0``), keywords, strings and punctuation, and records line/column
+positions for error reporting.  It is one master regular expression scanned
+left to right: every alternative is a named group, tried in order, and the
+last one matches any single character so no input goes unclassified.
 """
 
 from __future__ import annotations
 
-from typing import Iterator, List
+import re
+from typing import List
 
 from .errors import LexError
 from .tokens import KEYWORDS, MULTI_CHAR_PUNCT, SINGLE_CHAR_PUNCT, Token, TokenKind
 
-_IDENT_START = set("abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ_$")
-_IDENT_CONT = _IDENT_START | set("0123456789")
-_DIGITS = set("0123456789")
-_BASED_DIGITS = set("0123456789abcdefABCDEFxXzZ_?")
+_TOKEN_RE = re.compile(
+    "|".join(
+        (
+            r"(?P<skip>[ \t\r\n]+|//[^\n]*|`[^\n]*)",
+            r"(?P<comment>/\*.*?\*/)",
+            r"(?P<open_comment>/\*)",
+            r"(?P<ident>[A-Za-z_$][A-Za-z0-9_$]*)",
+            r"(?P<based>(?:[0-9][0-9_]*)?'[sS]?[bBoOdDhH][0-9a-fA-FxXzZ_?]*)",
+            r"(?P<bad_based>[0-9][0-9_]*')",
+            r"(?P<number>[0-9][0-9_]*)",
+            r'(?P<string>"[^"]*")',
+            r'(?P<open_string>")',
+            "(?P<punct>%s|[%s])"
+            % ("|".join(map(re.escape, MULTI_CHAR_PUNCT)), re.escape(SINGLE_CHAR_PUNCT)),
+            r"(?P<other>.)",
+        )
+    ),
+    re.DOTALL,
+)
 
+_KINDS = {
+    "ident": TokenKind.IDENT,
+    "based": TokenKind.BASED_NUMBER,
+    "number": TokenKind.NUMBER,
+    "string": TokenKind.STRING,
+    "punct": TokenKind.PUNCT,
+}
 
-class Lexer:
-    """Convert Verilog source text into a list of :class:`Token` objects."""
-
-    def __init__(self, text: str):
-        self._text = text
-        self._pos = 0
-        self._line = 1
-        self._column = 1
-
-    def tokenize(self) -> List[Token]:
-        """Return all tokens in the input, terminated by an EOF token."""
-        tokens = list(self._iter_tokens())
-        tokens.append(Token(TokenKind.EOF, "", self._line, self._column))
-        return tokens
-
-    def _iter_tokens(self) -> Iterator[Token]:
-        while self._pos < len(self._text):
-            ch = self._text[self._pos]
-            if ch in " \t\r\n":
-                self._advance(1)
-                continue
-            if self._text.startswith("//", self._pos):
-                self._skip_line_comment()
-                continue
-            if self._text.startswith("/*", self._pos):
-                self._skip_block_comment()
-                continue
-            if ch == "`":
-                # Compiler directives (`timescale, `define, ...) are skipped
-                # to end of line; macros are not expanded in the subset.
-                self._skip_line_comment()
-                continue
-            if ch in _IDENT_START:
-                yield self._lex_ident()
-                continue
-            if ch in _DIGITS or (ch == "'" and self._peek_based_literal()):
-                yield self._lex_number()
-                continue
-            if ch == '"':
-                yield self._lex_string()
-                continue
-            punct = self._match_punct()
-            if punct is not None:
-                yield punct
-                continue
-            raise LexError(f"unexpected character {ch!r}", self._line, self._column)
-
-    # -- helpers ---------------------------------------------------------
-
-    def _advance(self, count: int) -> None:
-        for _ in range(count):
-            if self._pos >= len(self._text):
-                return
-            if self._text[self._pos] == "\n":
-                self._line += 1
-                self._column = 1
-            else:
-                self._column += 1
-            self._pos += 1
-
-    def _skip_line_comment(self) -> None:
-        while self._pos < len(self._text) and self._text[self._pos] != "\n":
-            self._advance(1)
-
-    def _skip_block_comment(self) -> None:
-        start_line, start_col = self._line, self._column
-        self._advance(2)
-        while self._pos < len(self._text):
-            if self._text.startswith("*/", self._pos):
-                self._advance(2)
-                return
-            self._advance(1)
-        raise LexError("unterminated block comment", start_line, start_col)
-
-    def _lex_ident(self) -> Token:
-        line, col = self._line, self._column
-        start = self._pos
-        while self._pos < len(self._text) and self._text[self._pos] in _IDENT_CONT:
-            self._advance(1)
-        word = self._text[start:self._pos]
-        kind = TokenKind.KEYWORD if word in KEYWORDS else TokenKind.IDENT
-        return Token(kind, word, line, col)
-
-    def _peek_based_literal(self) -> bool:
-        nxt = self._text[self._pos + 1:self._pos + 3].lower()
-        return bool(nxt) and nxt[0] in "bodh" or (len(nxt) > 1 and nxt[0] == "s" and nxt[1] in "bodh")
-
-    def _lex_number(self) -> Token:
-        line, col = self._line, self._column
-        start = self._pos
-        # Optional decimal size prefix.
-        while self._pos < len(self._text) and self._text[self._pos] in _DIGITS | {"_"}:
-            self._advance(1)
-        if self._pos < len(self._text) and self._text[self._pos] == "'":
-            self._advance(1)
-            if self._pos < len(self._text) and self._text[self._pos] in "sS":
-                self._advance(1)
-            if self._pos >= len(self._text) or self._text[self._pos].lower() not in "bodh":
-                raise LexError("malformed based literal", line, col)
-            self._advance(1)
-            while self._pos < len(self._text) and self._text[self._pos] in _BASED_DIGITS:
-                self._advance(1)
-            return Token(TokenKind.BASED_NUMBER, self._text[start:self._pos], line, col)
-        return Token(TokenKind.NUMBER, self._text[start:self._pos], line, col)
-
-    def _lex_string(self) -> Token:
-        line, col = self._line, self._column
-        self._advance(1)
-        start = self._pos
-        while self._pos < len(self._text) and self._text[self._pos] != '"':
-            self._advance(1)
-        if self._pos >= len(self._text):
-            raise LexError("unterminated string literal", line, col)
-        value = self._text[start:self._pos]
-        self._advance(1)
-        return Token(TokenKind.STRING, value, line, col)
-
-    def _match_punct(self) -> Token:
-        line, col = self._line, self._column
-        for punct in MULTI_CHAR_PUNCT:
-            if self._text.startswith(punct, self._pos):
-                self._advance(len(punct))
-                return Token(TokenKind.PUNCT, punct, line, col)
-        ch = self._text[self._pos]
-        if ch in SINGLE_CHAR_PUNCT:
-            self._advance(1)
-            return Token(TokenKind.PUNCT, ch, line, col)
-        return None
+_ERRORS = {
+    "open_comment": "unterminated block comment",
+    "bad_based": "malformed based literal",
+    "open_string": "unterminated string literal",
+}
 
 
 def tokenize(text: str) -> List[Token]:
-    """Convenience wrapper: tokenize ``text`` and return the token list."""
-    return Lexer(text).tokenize()
+    """Return all tokens in ``text``, terminated by an EOF token."""
+    tokens: List[Token] = []
+    line, line_start = 1, 0
+    for match in _TOKEN_RE.finditer(text):
+        group, value, start = match.lastgroup, match.group(), match.start()
+        column = start - line_start + 1
+        if group in _KINDS:
+            kind = TokenKind.KEYWORD if group == "ident" and value in KEYWORDS else _KINDS[group]
+            tokens.append(Token(kind, value[1:-1] if group == "string" else value, line, column))
+        elif group in _ERRORS:
+            raise LexError(_ERRORS[group], line, column)
+        elif group == "other":
+            raise LexError(f"unexpected character {value!r}", line, column)
+        newlines = value.count("\n")
+        if newlines:
+            line += newlines
+            line_start = text.rindex("\n", start, match.end()) + 1
+    tokens.append(Token(TokenKind.EOF, "", line, len(text) - line_start + 1))
+    return tokens
+
+
+class Lexer:
+    """Object form of :func:`tokenize`, kept for callers of the public name."""
+
+    def __init__(self, text: str):
+        self._text = text
+
+    def tokenize(self) -> List[Token]:
+        """Return all tokens in the input, terminated by an EOF token."""
+        return tokenize(self._text)

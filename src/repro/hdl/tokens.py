@@ -7,7 +7,7 @@ from dataclasses import dataclass
 
 
 class TokenKind(enum.Enum):
-    """Lexical categories produced by :class:`repro.hdl.lexer.Lexer`."""
+    """Lexical categories produced by :func:`repro.hdl.lexer.tokenize`."""
 
     IDENT = "ident"
     NUMBER = "number"

@@ -51,6 +51,13 @@ __all__ = [
 #: replaying a witness trace.
 WITNESS_CYCLES = 96
 WITNESS_RESET_CYCLES = 2
+WITNESS_SEEDS = 2
+
+#: Caps of the reachable-state sweep: beyond them the filter falls back to
+#: lockstep simulation.
+SWEEP_MAX_STATES = 1024
+SWEEP_MAX_TRANSITIONS = 40_000
+SWEEP_BUDGET = 60_000
 
 
 def witness_stimulus(seed: int) -> ResetSequenceStimulus:
@@ -99,19 +106,8 @@ class SemanticContext:
     side is rebuilt per comparison.
     """
 
-    def __init__(
-        self,
-        golden: Design,
-        *,
-        max_states: int = 1024,
-        max_transitions: int = 40_000,
-        sweep_budget: int = 60_000,
-        cycles: int = WITNESS_CYCLES,
-        seeds: int = 2,
-    ):
+    def __init__(self, golden: Design):
         self.golden = golden
-        self._cycles = cycles
-        self._seeds = seeds
         # The filter is backend-neutral (every backend enumerates the same
         # reachable set, bit for bit), so it always asks for the vectorized
         # walk; systems the lowering rejects — or a missing NumPy — fall
@@ -121,10 +117,10 @@ class SemanticContext:
         self._sweep_feasible = False
         if self._system.can_enumerate_inputs:
             reachability = enumerate_reachable(
-                self._system, max_states=max_states, max_transitions=max_transitions
+                self._system, max_states=SWEEP_MAX_STATES, max_transitions=SWEEP_MAX_TRANSITIONS
             )
             budget = reachability.count * max(self._system.input_space_size, 1)
-            if reachability.complete and budget <= sweep_budget:
+            if reachability.complete and budget <= SWEEP_BUDGET:
                 self._reachability = reachability
                 self._sweep_feasible = True
         self._golden_traces: Optional[List[Trace]] = None
@@ -165,12 +161,12 @@ class SemanticContext:
             nonlocal lowering
             lowering = lower_family(self.golden.model, [mutant.model for mutant in mutants])
             accepted = lowering.accepted() if lowering is not None else []
-            return (lowering.plan, len(accepted) * self._seeds) if accepted else None
+            return (lowering.plan, len(accepted) * WITNESS_SEEDS) if accepted else None
 
         if self._sweep_feasible:  # the reachable-space sweep batches at any size
             pays = bool(mutants) and lower() is not None
         else:
-            pays = batch_simulation_pays(self.golden.model, len(mutants) * self._seeds, lower)
+            pays = batch_simulation_pays(self.golden.model, len(mutants) * WITNESS_SEEDS, lower)
         found: Dict[int, Optional[DifferenceWitness]] = {}
         if pays:
             accepted = lowering.accepted()
@@ -271,12 +267,12 @@ class SemanticContext:
         self, lowering, accepted
     ) -> Dict[int, DifferenceWitness]:
         """Bounded lockstep comparison with all mutant traces in one batch."""
-        stimuli = [self._stimulus(seed) for seed in range(self._seeds)]
+        stimuli = [self._stimulus(seed) for seed in range(WITNESS_SEEDS)]
         members = [lowering.member_ids[position] for position in accepted]
-        member_traces = lowering.kernel.family_simulate(members, stimuli, self._cycles)
+        member_traces = lowering.kernel.family_simulate(members, stimuli, WITNESS_CYCLES)
         found: Dict[int, DifferenceWitness] = {}
         for row, position in enumerate(accepted):
-            for seed in range(self._seeds):
+            for seed in range(WITNESS_SEEDS):
                 golden_trace = self._golden_trace(seed)
                 mutant_trace = member_traces[row][seed]
                 witness = self._trace_difference(golden_trace, mutant_trace, seed)
@@ -361,16 +357,16 @@ class SemanticContext:
     def _golden_trace(self, seed: int) -> Trace:
         if self._golden_traces is None:
             self._golden_traces = [
-                Simulator(self.golden).run(cycles=self._cycles, stimulus=self._stimulus(s))
-                for s in range(self._seeds)
+                Simulator(self.golden).run(cycles=WITNESS_CYCLES, stimulus=self._stimulus(s))
+                for s in range(WITNESS_SEEDS)
             ]
         return self._golden_traces[seed]
 
     def _simulation_difference(self, mutant: Design) -> Optional[DifferenceWitness]:
-        for seed in range(self._seeds):
+        for seed in range(WITNESS_SEEDS):
             golden_trace = self._golden_trace(seed)
             mutant_trace = Simulator(mutant).run(
-                cycles=self._cycles, stimulus=self._stimulus(seed)
+                cycles=WITNESS_CYCLES, stimulus=self._stimulus(seed)
             )
             witness = self._trace_difference(golden_trace, mutant_trace, seed)
             if witness is not None:
@@ -378,23 +374,6 @@ class SemanticContext:
         return None
 
 
-def semantic_difference(
-    golden: Design,
-    mutant: Design,
-    *,
-    max_states: int = 1024,
-    max_transitions: int = 40_000,
-    sweep_budget: int = 60_000,
-    cycles: int = WITNESS_CYCLES,
-    seeds: int = 2,
-) -> Optional[DifferenceWitness]:
+def semantic_difference(golden: Design, mutant: Design) -> Optional[DifferenceWitness]:
     """One-shot wrapper over :class:`SemanticContext` for a single mutant."""
-    context = SemanticContext(
-        golden,
-        max_states=max_states,
-        max_transitions=max_transitions,
-        sweep_budget=sweep_budget,
-        cycles=cycles,
-        seeds=seeds,
-    )
-    return context.difference(mutant)
+    return SemanticContext(golden).difference(mutant)

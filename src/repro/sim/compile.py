@@ -141,8 +141,8 @@ class CompiledEvaluator:
             return self._build_bit_select(expr)
         if isinstance(expr, ast.PartSelect):
             base = self.compile(expr.base)
-            msb = self._interp._const_value(expr.msb)
-            lsb = self._interp._const_value(expr.lsb)
+            msb = self._interp.const_value(expr.msb)
+            lsb = self._interp.const_value(expr.lsb)
             if msb < lsb:
                 msb, lsb = lsb, msb
             mask = (1 << (msb - lsb + 1)) - 1
@@ -173,7 +173,7 @@ class CompiledEvaluator:
 
             return concat
         if isinstance(expr, ast.Replicate):
-            count = self._interp._const_value(expr.count)
+            count = self._interp.const_value(expr.count)
             width = self.width_of(expr.value)
             chunk = self.compile(expr.value)
             mask = (1 << width) - 1

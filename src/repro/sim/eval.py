@@ -54,8 +54,8 @@ class ExprEvaluator:
         if isinstance(expr, ast.BitSelect):
             return 1
         if isinstance(expr, ast.PartSelect):
-            msb = self._const_value(expr.msb)
-            lsb = self._const_value(expr.lsb)
+            msb = self.const_value(expr.msb)
+            lsb = self.const_value(expr.lsb)
             return abs(msb - lsb) + 1
         if isinstance(expr, ast.Unary):
             if expr.op in ("!",) or expr.op in ("&", "|", "^"):
@@ -72,7 +72,7 @@ class ExprEvaluator:
         if isinstance(expr, ast.Concat):
             return sum(self.width_of(part) for part in expr.parts)
         if isinstance(expr, ast.Replicate):
-            return self._const_value(expr.count) * self.width_of(expr.value)
+            return self.const_value(expr.count) * self.width_of(expr.value)
         raise EvalError(f"cannot infer width of {expr!r}")
 
     def const_value(self, expr: ast.Expr) -> int:
@@ -85,9 +85,6 @@ class ExprEvaluator:
             return self._const.eval(expr)
         except ElaborationError as exc:
             raise EvalError(str(exc)) from exc
-
-    # Backwards-compatible alias (pre-vectorized-backend internal name).
-    _const_value = const_value
 
     # -- evaluation -----------------------------------------------------------
 
@@ -114,8 +111,8 @@ class ExprEvaluator:
             return (base >> index) & 1
         if isinstance(expr, ast.PartSelect):
             base = self.eval(expr.base, env)
-            msb = self._const_value(expr.msb)
-            lsb = self._const_value(expr.lsb)
+            msb = self.const_value(expr.msb)
+            lsb = self.const_value(expr.lsb)
             if msb < lsb:
                 msb, lsb = lsb, msb
             width = msb - lsb + 1
@@ -135,7 +132,7 @@ class ExprEvaluator:
                 value = (value << width) | _mask(self.eval(part, env), width)
             return value
         if isinstance(expr, ast.Replicate):
-            count = self._const_value(expr.count)
+            count = self.const_value(expr.count)
             width = self.width_of(expr.value)
             chunk = _mask(self.eval(expr.value, env), width)
             value = 0

@@ -15,18 +15,20 @@ the shared :mod:`repro.hdl.parser`.
 
 from __future__ import annotations
 
+import re
 from typing import List, Optional, Tuple
 
 from ..hdl import ast
 from ..hdl.errors import HdlError
 from ..hdl.lexer import tokenize
-from ..hdl.parser import Parser as _ExprParser
+from ..hdl.parser import Parser
 from ..hdl.tokens import Token, TokenKind
 from .errors import SvaSyntaxError, SvaUnsupportedError
 from .model import NON_OVERLAPPED, OVERLAPPED, Assertion, SequenceTerm
 
 #: SVA operators outside the restricted subset (their presence is a parse error
-#: but we detect them explicitly to give a precise diagnostic).
+#: but we detect them explicitly to give a precise diagnostic).  The words
+#: match whole identifiers only, so a signal named ``data_within`` is legal.
 _UNSUPPORTED_MARKERS = (
     "s_eventually",
     "s_until",
@@ -39,6 +41,7 @@ _UNSUPPORTED_MARKERS = (
     "[=",
     "[->",
 )
+_IDENTIFIER = re.compile(r"[a-z_$][a-z0-9_$]*")
 
 
 class SvaParser:
@@ -54,8 +57,9 @@ class SvaParser:
         if not text:
             raise SvaSyntaxError("empty assertion text")
         lowered = text.lower()
+        words = set(_IDENTIFIER.findall(lowered))
         for marker in _UNSUPPORTED_MARKERS:
-            if marker in lowered:
+            if marker in (lowered if marker.startswith("[") else words):
                 raise SvaUnsupportedError(
                     f"operator {marker!r} is outside the supported SVA subset", text
                 )
@@ -120,31 +124,18 @@ def _parens_balanced_as_wrapper(text: str) -> bool:
     return depth == 0
 
 
-class _TokenReader:
-    """Token-level parsing of clocking, disable iff, and the property body."""
+class _TokenReader(Parser):
+    """Token-level parsing of clocking, disable iff, and the property body.
+
+    The boolean layer is the inherited Verilog expression grammar, run on this
+    reader's own cursor.
+    """
 
     def __init__(self, tokens: List[Token], original_text: str):
-        self._tokens = tokens
-        self._pos = 0
+        super().__init__(tokens)
         self._text = original_text
 
-    @property
-    def _current(self) -> Token:
-        return self._tokens[self._pos]
-
-    def _advance(self) -> Token:
-        token = self._current
-        if token.kind is not TokenKind.EOF:
-            self._pos += 1
-        return token
-
-    def _accept_punct(self, value: str) -> bool:
-        if self._current.is_punct(value):
-            self._advance()
-            return True
-        return False
-
-    def _expect_punct(self, value: str) -> None:
+    def _expect_sva_punct(self, value: str) -> None:
         if not self._accept_punct(value):
             raise SvaSyntaxError(
                 f"expected {value!r}, found {self._current.value!r}", self._text
@@ -156,14 +147,14 @@ class _TokenReader:
         if not self._current.is_punct("@"):
             return "posedge", None
         self._advance()
-        self._expect_punct("(")
+        self._expect_sva_punct("(")
         edge = "posedge"
         if self._current.is_keyword("posedge") or self._current.is_keyword("negedge"):
             edge = self._advance().value
         if self._current.kind is not TokenKind.IDENT:
             raise SvaSyntaxError("expected clock signal name in clocking event", self._text)
         clock = self._advance().value
-        self._expect_punct(")")
+        self._expect_sva_punct(")")
         return edge, clock
 
     def parse_disable_iff(self) -> Optional[ast.Expr]:
@@ -172,9 +163,9 @@ class _TokenReader:
             if not (self._current.kind is TokenKind.IDENT and self._current.value == "iff"):
                 raise SvaSyntaxError("expected 'iff' after 'disable'", self._text)
             self._advance()
-            self._expect_punct("(")
-            expr = self._parse_boolean_until((")",))
-            self._expect_punct(")")
+            self._expect_sva_punct("(")
+            expr = self._parse_boolean()
+            self._expect_sva_punct(")")
             return expr
         return None
 
@@ -226,7 +217,7 @@ class _TokenReader:
                 raise SvaSyntaxError(
                     f"unexpected token {self._current.value!r} in sequence", self._text
                 )
-            expr = self._parse_boolean_until(("##", OVERLAPPED, NON_OVERLAPPED, ";"))
+            expr = self._parse_boolean()
             terms.extend(self._split_conjunction(expr, offset))
             expect_term = False
         return terms
@@ -241,19 +232,12 @@ class _TokenReader:
 
     # -- boolean layer ------------------------------------------------------------------
 
-    def _parse_boolean_until(self, stop_puncts: Tuple[str, ...]) -> ast.Expr:
-        """Parse a Verilog boolean expression from the current position.
-
-        Delegates to the shared expression parser, then fast-forwards our own
-        cursor to where it stopped.
-        """
-        expr_parser = _ExprParser(self._tokens[self._pos:] )
+    def _parse_boolean(self) -> ast.Expr:
+        """Parse a Verilog boolean expression from the current position."""
         try:
-            expr = expr_parser.parse_expression()
+            return self.parse_expression()
         except HdlError as exc:
             raise SvaSyntaxError(f"invalid boolean expression: {exc}", self._text)
-        self._pos += expr_parser._pos
-        return expr
 
     def expect_end(self) -> None:
         while self._current.is_punct(";"):

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.hdl import Identifier, Number
+from repro.llm.cots import _UNSUPPORTED_SVA_SNIPPETS
 from repro.sva import (
     NON_OVERLAPPED,
     OVERLAPPED,
@@ -61,6 +62,23 @@ class TestParsing:
             parse_assertion("s_eventually (a == 1);")
         with pytest.raises(SvaUnsupportedError):
             parse_assertion("(a == 1)[*3] |-> (b == 1);")
+        with pytest.raises(SvaUnsupportedError):
+            parse_assertion("(a == 1) WITHIN (b == 1)")
+
+    @pytest.mark.parametrize(
+        "text, signals",
+        [
+            ("data_within |-> ready", {"data_within", "ready"}),
+            ("(THROUGHOUT_n == 1) |=> (s_until2 == 0)", {"THROUGHOUT_n", "s_until2"}),
+        ],
+    )
+    def test_operator_name_inside_identifier_is_legal(self, text, signals):
+        assert parse_assertion(text).signals() == signals
+
+    @pytest.mark.parametrize("template", _UNSUPPORTED_SVA_SNIPPETS)
+    def test_cots_unsupported_templates_rejected(self, template):
+        with pytest.raises(SvaUnsupportedError):
+            parse_assertion(template.format(sig="req", other="gnt"))
 
     def test_garbage_rejected(self):
         with pytest.raises(SvaSyntaxError):
